@@ -11,7 +11,7 @@ Run:  python examples/fullchip_scan.py
 import time
 
 from repro.bench.harness import bench_detector_config
-from repro.core import FullChipScanner, HotspotDetector
+from repro.core import HotspotDetector, recall_against_oracle
 from repro.data import (
     ClipGenerator,
     FullChipSpec,
@@ -19,6 +19,7 @@ from repro.data import (
     HotspotDataset,
     make_labelled_layout,
 )
+from repro.scanfarm import ScanFarm
 
 
 def main() -> None:
@@ -45,8 +46,7 @@ def main() -> None:
     )
 
     print("scanning (1200 nm windows, 600 nm stride)...")
-    scanner = FullChipScanner(detector, clip_nm=1200, stride_nm=600)
-    result = scanner.scan(layout)
+    result = ScanFarm(detector, clip_nm=1200, stride_nm=600).scan(layout)
     print(f"  {result.summary()}")
     for region in result.regions[:8]:
         b = region.bbox
@@ -55,7 +55,7 @@ def main() -> None:
             f"windows={region.window_count:3d} peak p={region.max_probability:.2f}"
         )
     if hotspot_sites:
-        recall = scanner.recall_against_oracle(result, hotspot_sites)
+        recall = recall_against_oracle(result, hotspot_sites)
         print(f"  site recall vs oracle ground truth: {recall * 100:.0f}%")
 
 

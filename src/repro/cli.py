@@ -8,8 +8,8 @@ workflows without writing Python:
 - ``evaluate`` — evaluate a saved model on a clip file (Table-2 metrics).
 - ``experiment`` — regenerate one of the paper's tables/figures.
 - ``stats`` — audit a clip file.
-- ``scan`` — full-chip scan with a saved model (``--farm``/``--cache-dir``
-  route it through the shard farm with incremental re-scan).
+- ``scan`` — full-chip scan with a saved model through the scan farm
+  (``--workers`` shard processes, ``--cache-dir`` incremental re-scan).
 - ``scan-batch`` — farm-scan several LAYOUT files with one shared cache.
 - ``active`` — budgeted active-learning loop: buy labels from the litho
   oracle under a simulation-seconds budget and grow a detector.
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--threshold", type=float, default=0.5)
     scan.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the shared-raster stage")
+                      help="shard worker processes")
     scan.add_argument(
         "--journal", metavar="PATH", default=None,
         help="record completed batches to PATH (JSONL, fsync-ed)",
@@ -159,14 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(see 'scan-batch' for scanning several)",
     )
     scan.add_argument(
-        "--farm", action="store_true",
-        help="scan through the shard farm (multi-process shards, "
-             "fingerprint dedup) instead of the serial scanner",
-    )
-    scan.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="persistent window-probability cache for incremental "
-             "re-scan (implies --farm)",
+        help="persistent window-probability cache for incremental re-scan",
     )
     scan.add_argument(
         "--shards-per-worker", type=int, default=2,
@@ -529,9 +523,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from repro.core.fullchip import FullChipScanner
     from repro.data.fullchip import FullChipSpec, make_layout
     from repro.geometry.layoutio import read_chip
+    from repro.scanfarm import ScanFarm
 
     detector = _load_model(args.model, dct_backend=args.feature_backend)
     if args.infer_precision:
@@ -549,21 +543,14 @@ def _cmd_scan(args) -> int:
     if args.resume and not args.journal:
         _say("--resume needs --journal")
         return 2
-    if args.farm or args.cache_dir:
-        from repro.scanfarm import ScanFarm
-
-        front_end = ScanFarm(
-            detector,
-            threshold=args.threshold,
-            workers=args.workers,
-            shards_per_worker=args.shards_per_worker,
-            cache_dir=args.cache_dir,
-        )
-    else:
-        front_end = FullChipScanner(
-            detector, threshold=args.threshold, workers=args.workers
-        )
-    result = front_end.scan(layout, journal=args.journal, resume=args.resume)
+    farm = ScanFarm(
+        detector,
+        threshold=args.threshold,
+        workers=args.workers,
+        shards_per_worker=args.shards_per_worker,
+        cache_dir=args.cache_dir,
+    )
+    result = farm.scan(layout, journal=args.journal, resume=args.resume)
     _say(result.summary())
     _print_regions(result)
     return 0

@@ -15,11 +15,10 @@ from repro.core.biased import BiasedLearning, BiasedRound, biased_targets
 from repro.core.config import DetectorConfig
 from repro.core.detector import HotspotDetector
 from repro.core.fullchip import (
-    FullChipScanner,
     HotspotRegion,
     ScanResult,
     merge_windows,
-    merge_windows_pairwise,
+    recall_against_oracle,
 )
 from repro.core.metrics import DetectionMetrics, evaluate_predictions
 from repro.core.model import build_dac17_network
@@ -42,11 +41,10 @@ __all__ = [
     "sweep_thresholds",
     "area_under_curve",
     "best_odst_point",
-    "FullChipScanner",
     "HotspotRegion",
     "ScanResult",
     "merge_windows",
-    "merge_windows_pairwise",
+    "recall_against_oracle",
     "build_dac17_network",
     "HotspotDetector",
     "DetectorConfig",

@@ -19,19 +19,19 @@ one *global* block grid. So the scan pipeline becomes:
 3. assemble every window's ``(n, n, k)`` tensor by pure slicing.
 
 Each layout pixel is rasterised and transformed exactly once, regardless
-of stride. Tiles are independent, so step 1–2 parallelise across a
-``multiprocessing`` pool (``workers`` parameter). Windows that do not sit
-on the block grid (non-aligned strides, odd clamped edge windows) fall
-back to the per-clip :class:`~repro.features.tensor.FeatureTensorExtractor`
-path — output equivalence is guaranteed either way and covered by tests.
+of stride. This extractor runs in one process; a scan spreads across
+processes one level up, in the scan farm's row-band shards
+(:mod:`repro.scanfarm`), each of which encodes only its own block-aligned
+sub-region. Windows that do not sit on the block grid (non-aligned
+strides, odd clamped edge windows) fall back to the per-clip
+:class:`~repro.features.tensor.FeatureTensorExtractor` path — output
+equivalence is guaranteed either way and covered by tests.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,64 +45,8 @@ from repro.geometry.fingerprint import geometry_digest
 from repro.geometry.layout import Layout
 from repro.geometry.raster import rasterize_rects
 from repro.geometry.rect import Rect
-from repro.obs import MetricsRegistry, emit, get_registry, span
+from repro.obs import emit, get_registry, span
 from repro.testing.faults import maybe_fail
-
-#: One tile task:
-#: (index, rects, window, nm/px, block pixels, coefficients, dct backend).
-_TileTask = Tuple[int, Tuple[Rect, ...], Rect, int, int, int, str]
-
-
-def bind_worker_to_parent() -> None:
-    """Ask the kernel to SIGTERM this worker when its parent dies.
-
-    Without this, a scan process killed mid-run (OOM killer, operator
-    SIGKILL) strands its pool workers as orphans that keep every
-    inherited fd open — journal files, and pipes whose readers then
-    never see EOF. PR_SET_PDEATHSIG bounds worker lifetime strictly by
-    the parent's. Linux-only; elsewhere workers stay plain orphans,
-    exactly the pre-existing behaviour.
-    """
-    try:
-        import ctypes
-        import signal
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        PR_SET_PDEATHSIG = 1
-        libc.prctl(PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0)
-    except (OSError, AttributeError):  # pragma: no cover - non-Linux
-        return
-    import os
-
-    if os.getppid() == 1:  # pragma: no cover - fork/death race
-        os._exit(1)
-
-
-def _encode_tile(task: _TileTask) -> Tuple[np.ndarray, Dict[str, Any]]:
-    """Rasterise one tile and reduce its blocks to truncated DCT vectors.
-
-    Module-level so it pickles for the worker pool; pure function of its
-    arguments so fork/spawn start methods behave identically — the DCT
-    backend travels in the task tuple rather than via process state.
-    Alongside the coefficients it returns a private metrics-registry
-    snapshot with the tile's rasterisation and DCT wall-clock — workers
-    cannot reach the parent's registry, so stage timings travel back with
-    the result and the parent merges them
-    (:meth:`MetricsRegistry.merge_snapshot`).
-    """
-    index, rects, window, resolution, block, k, backend = task
-    maybe_fail("scan.tile", index)
-    registry = MetricsRegistry()
-    started = time.perf_counter()
-    image = rasterize_rects(rects, window, resolution)
-    rastered = time.perf_counter()
-    coefficients = encode_block_grid(image, block, k, backend=backend)
-    registry.histogram("scan.raster.seconds").observe(rastered - started)
-    registry.histogram("scan.dct.seconds").observe(
-        time.perf_counter() - rastered
-    )
-    registry.counter("scan.tiles").inc()
-    return coefficients, registry.snapshot()
 
 
 class SlidingFeatureExtractor:
@@ -118,37 +62,22 @@ class SlidingFeatureExtractor:
     tile_blocks:
         Tile side length in blocks for the shared rasterisation. The
         default (16 blocks = 1600 px at the paper's geometry) keeps each
-        tile raster around 10 MB while leaving enough tiles to parallelise.
+        tile raster around 10 MB.
     workers:
-        Process count for tile rasterisation + DCT. 1 (default) runs
-        serially in-process; higher values use a process pool and fall
-        back to serial execution if a pool cannot be created. Grids too
-        small to amortise pool spin-up (fewer than
-        ``workers * min_tiles_per_worker`` unique tiles) also run
-        serially, so ``pipeline="auto"`` scans of small layouts never pay
-        for a pool they cannot use.
-    min_tiles_per_worker:
-        Minimum unique tiles per requested worker before a pool is
-        spun up (default 4). Set to 1 to force pool execution for any
-        multi-tile grid (the fault-injection tests do).
+        Accepted for callers that pass ``workers=1``; this extractor
+        always runs in-process and any other value raises
+        :class:`~repro.exceptions.FeatureError`. Parallel scans shard
+        through :class:`repro.scanfarm.ScanFarm` instead.
     max_retries:
-        Retries per failing tile (transient failures: flaky NFS reads,
-        OOM-killed workers). A tile still failing after its retry budget
-        raises :class:`~repro.exceptions.FeatureError`.
+        Retries per failing tile (transient failures such as flaky NFS
+        reads). A tile still failing after its retry budget raises
+        :class:`~repro.exceptions.FeatureError`.
     retry_backoff:
         Base pause in seconds before a retry; doubles per attempt and is
         capped at one second, so a retry storm cannot stall a scan.
-
-    Worker failures are contained, not fatal: a worker process that dies
-    (SIGKILL, segfault) breaks the pool, which is respawned once; if the
-    replacement breaks too, the remaining tiles degrade to in-process
-    serial execution (``scan.worker_dead`` / ``scan.degraded`` events).
     """
 
     name = "sliding_feature_tensor"
-
-    #: Pool respawns after a dead worker before degrading to serial.
-    max_pool_respawns = 1
 
     def __init__(
         self,
@@ -158,15 +87,13 @@ class SlidingFeatureExtractor:
         workers: int = 1,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        min_tiles_per_worker: int = 4,
     ):
         if tile_blocks < 1:
             raise FeatureError(f"tile_blocks must be >= 1, got {tile_blocks}")
-        if workers < 1:
-            raise FeatureError(f"workers must be >= 1, got {workers}")
-        if min_tiles_per_worker < 1:
+        if workers != 1:
             raise FeatureError(
-                f"min_tiles_per_worker must be >= 1, got {min_tiles_per_worker}"
+                f"workers must be 1, got {workers} (scan in parallel "
+                f"through ScanFarm(workers=...))"
             )
         if max_retries < 0:
             raise FeatureError(f"max_retries must be >= 0, got {max_retries}")
@@ -177,10 +104,8 @@ class SlidingFeatureExtractor:
         self.config = config
         self.clip_nm = clip_nm
         self.tile_blocks = tile_blocks
-        self.workers = workers
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.min_tiles_per_worker = min_tiles_per_worker
         # Validates clip/pixel/block divisibility and k capacity eagerly.
         self.block_px = config.block_size_px(clip_nm)
         self.block_nm = self.block_px * config.pixel_nm
@@ -254,9 +179,10 @@ class SlidingFeatureExtractor:
             r0, c0 = self._check_subregion(full, region)
             rows, cols, _ = self.grid_shape(region)
         grid = np.zeros((rows, cols, k), dtype=np.float32)
-        #: Placements: (grid row, grid col, task index) per non-empty tile.
+        #: Placements: (grid row, grid col, tile index) per non-empty tile.
         placements: List[Tuple[int, int, int]] = []
-        tasks: List[_TileTask] = []
+        #: Unique non-empty tiles to encode: (rects, tile window).
+        tiles: List[Tuple[Tuple[Rect, ...], Rect]] = []
         unique: Dict[str, int] = {}
         duplicates = 0
         tile = self.tile_blocks
@@ -276,33 +202,21 @@ class SlidingFeatureExtractor:
                 digest = geometry_digest(rects, window)
                 index = unique.get(digest)
                 if index is None:
-                    index = len(tasks)
+                    index = len(tiles)
                     unique[digest] = index
-                    tasks.append(
-                        (
-                            index,
-                            rects,
-                            window,
-                            self.config.pixel_nm,
-                            self.block_px,
-                            k,
-                            self.config.dct_backend,
-                        )
-                    )
+                    tiles.append((rects, window))
                 else:
                     duplicates += 1
                 placements.append((b_row, b_col, index))
         if duplicates:
             get_registry().counter("scan.tiles_deduped").inc(duplicates)
-        with span(
-            "scan.grid", tiles=len(tasks), workers=self.workers
-        ) as record:
-            registry = get_registry()
-            results = self._run_tiles(tasks)
-            for index, (_, tile_metrics) in enumerate(results):
-                registry.merge_snapshot(tile_metrics)
+        with span("scan.grid", tiles=len(tiles)) as record:
+            encoded = [
+                self._encode_tile(index, rects, window)
+                for index, (rects, window) in enumerate(tiles)
+            ]
             for b_row, b_col, index in placements:
-                coeffs = results[index][0]
+                coeffs = encoded[index]
                 t_rows, t_cols = coeffs.shape[:2]
                 # Intersect the tile's block span with the requested
                 # sub-grid (tiles straddle shard edges by design).
@@ -317,129 +231,54 @@ class SlidingFeatureExtractor:
             record.attrs["tiles_deduped"] = duplicates
         return grid
 
-    def _run_tiles(
-        self, tasks: Sequence[_TileTask]
-    ) -> List[Tuple[np.ndarray, Dict[str, Any]]]:
-        """Encode tiles, across a worker pool when asked (and possible).
+    def _encode_tile(
+        self, index: int, rects: Tuple[Rect, ...], window: Rect
+    ) -> np.ndarray:
+        """Rasterise one tile and reduce its blocks to truncated DCT vectors.
 
-        Pool execution survives three failure classes: a tile raising
-        (retried with bounded backoff, then fatal), a worker process dying
-        (pool respawned once, then degraded to serial), and a pool that
-        cannot be created at all (serial from the start).
+        A failing attempt is retried after a bounded, doubling pause; once
+        the retry budget is spent the tile raises
+        :class:`~repro.exceptions.FeatureError`. A finished tile records
+        its wall-clock in ``scan.raster.seconds`` / ``scan.dct.seconds``
+        and bumps ``scan.tiles``.
         """
-        results: Dict[int, Tuple[np.ndarray, Dict[str, Any]]] = {}
-        if self.workers > 1 and len(tasks) > 1:
-            if len(tasks) >= self.workers * self.min_tiles_per_worker:
-                self._run_tiles_pool(tasks, results)
-            else:
-                # Pool spin-up would dominate a grid this small; run
-                # serially (the workers=1 path) instead of paying for it.
-                emit(
-                    "scan.pool_skipped",
-                    level="debug",
-                    tiles=len(tasks),
-                    workers=self.workers,
-                    min_tiles_per_worker=self.min_tiles_per_worker,
-                )
-        for i in range(len(tasks)):
-            if i not in results:
-                results[i] = self._encode_tile_with_retry(tasks[i])
-        return [results[i] for i in range(len(tasks))]
-
-    def _run_tiles_pool(
-        self,
-        tasks: Sequence[_TileTask],
-        results: Dict[int, Tuple[np.ndarray, Dict[str, Any]]],
-    ) -> None:
-        """Fill ``results`` from a worker pool, as far as pools allow.
-
-        Returns with ``results`` possibly incomplete — the caller finishes
-        the remainder in-process (the degraded mode a dead-worker loop
-        ends in, and the fallback when no pool can be created).
-        """
-        attempts: Dict[int, int] = {}
-        pool_failures = 0
-        while len(results) < len(tasks):
-            pending = [i for i in range(len(tasks)) if i not in results]
-            try:
-                executor = ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(pending)),
-                    initializer=bind_worker_to_parent,
-                )
-            except (ImportError, OSError, ValueError):
-                return  # restricted environments: no pool at all
-            broken = False
-            try:
-                futures = {
-                    i: executor.submit(_encode_tile, tasks[i])
-                    for i in pending
-                }
-                for i, future in futures.items():
-                    try:
-                        results[i] = future.result()
-                    except (BrokenProcessPool, OSError) as exc:
-                        # A worker died mid-task; sibling futures fail
-                        # the same way. Collect what finished, respawn.
-                        if not broken:
-                            broken = True
-                            emit(
-                                "scan.worker_dead",
-                                level="warning",
-                                error=str(exc),
-                                completed=len(results),
-                                tiles=len(tasks),
-                            )
-                            get_registry().counter("scan.worker_deaths").inc()
-                    except Exception as exc:
-                        self._record_retry(attempts, i, tasks[i], exc)
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-            if broken:
-                pool_failures += 1
-                if pool_failures > self.max_pool_respawns:
-                    emit(
-                        "scan.degraded",
-                        level="warning",
-                        remaining=len(tasks) - len(results),
-                        tiles=len(tasks),
-                    )
-                    return  # caller completes serially in-process
-
-    def _record_retry(
-        self,
-        attempts: Dict[int, int],
-        index: int,
-        task: _TileTask,
-        exc: Exception,
-    ) -> None:
-        """Account one failed tile attempt; raise when the budget is gone."""
-        attempts[index] = attempts.get(index, 0) + 1
-        emit(
-            "scan.retry",
-            level="warning",
-            tile=index,
-            attempt=attempts[index],
-            max_retries=self.max_retries,
-            error=str(exc),
-        )
-        get_registry().counter("scan.tile_retries").inc()
-        if attempts[index] > self.max_retries:
-            raise FeatureError(
-                f"tile {index} failed {attempts[index]} times "
-                f"(last: {exc})"
-            ) from exc
-        time.sleep(min(self.retry_backoff * 2 ** (attempts[index] - 1), 1.0))
-
-    def _encode_tile_with_retry(
-        self, task: _TileTask
-    ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        """Serial tile encode under the same retry budget as the pool."""
-        attempts: Dict[int, int] = {}
+        attempts = 0
         while True:
             try:
-                return _encode_tile(task)
+                maybe_fail("scan.tile", index)
+                started = time.perf_counter()
+                image = rasterize_rects(rects, window, self.config.pixel_nm)
+                rastered = time.perf_counter()
+                coefficients = encode_block_grid(
+                    image,
+                    self.block_px,
+                    self.config.coefficients,
+                    backend=self.config.dct_backend,
+                )
+                break
             except Exception as exc:
-                self._record_retry(attempts, task[0], task, exc)
+                attempts += 1
+                emit(
+                    "scan.retry",
+                    level="warning",
+                    tile=index,
+                    attempt=attempts,
+                    max_retries=self.max_retries,
+                    error=str(exc),
+                )
+                get_registry().counter("scan.tile_retries").inc()
+                if attempts > self.max_retries:
+                    raise FeatureError(
+                        f"tile {index} failed {attempts} times (last: {exc})"
+                    ) from exc
+                time.sleep(min(self.retry_backoff * 2 ** (attempts - 1), 1.0))
+        registry = get_registry()
+        registry.histogram("scan.raster.seconds").observe(rastered - started)
+        registry.histogram("scan.dct.seconds").observe(
+            time.perf_counter() - rastered
+        )
+        registry.counter("scan.tiles").inc()
+        return coefficients
 
     # ------------------------------------------------------------------
     # Window assembly

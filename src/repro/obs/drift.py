@@ -23,8 +23,8 @@ watches for that:
   it alerts.
 
 The serving engine attaches a monitor per model version whose checkpoint
-carries a profile; :class:`~repro.core.fullchip.FullChipScanner` and the
-scan farm accept one for offline sweeps. Alerts are rate-limited per
+carries a profile; the scan farm (:class:`~repro.scanfarm.ScanFarm`)
+accepts one for offline sweeps. Alerts are rate-limited per
 metric by ``cooldown`` samples so a sustained shift does not flood the
 bus.
 """

@@ -14,7 +14,9 @@ under yesterday's model simply never matches today's lookups. Stale
 entries waste bytes, not correctness; :meth:`ScanCache.compact` reclaims
 them.
 
-Crash behaviour mirrors the scan journal: entries are appended,
+Crash behaviour is the scan journal's, through the same JSONL helpers
+(:func:`~repro.core.fullchip.read_jsonl` /
+:func:`~repro.core.fullchip.append_jsonl`): entries are appended,
 flushed and fsync-ed in batches, and a torn trailing line (a crash
 mid-write) is truncated away on the next open.
 """
@@ -24,8 +26,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Union
 
+from repro.core.fullchip import append_jsonl, read_jsonl
 from repro.exceptions import ScanCacheError
 
 PathLike = Union[str, Path]
@@ -89,17 +92,9 @@ class ScanCache:
         if not self.data_path.exists():
             return
         valid_bytes = 0
-        with open(self.data_path, "rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn final line: crash mid-write
-                try:
-                    entry = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    break  # garbled tail: keep the valid prefix
-                if isinstance(entry, dict) and entry.get("kind") == "entry":
-                    self._entries[str(entry["fp"])] = float(entry["p"])
-                valid_bytes += len(raw)
+        for entry, valid_bytes in read_jsonl(self.data_path):
+            if isinstance(entry, dict) and entry.get("kind") == "entry":
+                self._entries[str(entry["fp"])] = float(entry["p"])
         if valid_bytes < self.data_path.stat().st_size:
             with open(self.data_path, "r+b") as handle:
                 handle.truncate(valid_bytes)
@@ -137,13 +132,7 @@ class ScanCache:
         if not fresh:
             return 0
         with open(self.data_path, "a", encoding="utf-8") as handle:
-            for fp, probability in fresh.items():
-                handle.write(
-                    json.dumps({"kind": "entry", "fp": fp, "p": probability})
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
+            append_jsonl(handle, _entry_lines(fresh))
         self._entries.update(fresh)
         return len(fresh)
 
@@ -151,11 +140,11 @@ class ScanCache:
         """Rewrite the data file with one line per live entry, atomically."""
         tmp = self.data_path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            for fp, probability in self._entries.items():
-                handle.write(
-                    json.dumps({"kind": "entry", "fp": fp, "p": probability})
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
+            append_jsonl(handle, _entry_lines(self._entries))
         os.replace(tmp, self.data_path)
+
+
+def _entry_lines(entries: Mapping[str, float]) -> Iterator[Dict[str, Any]]:
+    """One ``probabilities.jsonl`` record per fingerprint."""
+    for fp, probability in entries.items():
+        yield {"kind": "entry", "fp": fp, "p": probability}

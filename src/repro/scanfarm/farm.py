@@ -1,8 +1,17 @@
-"""Sharded multi-process full-chip scanning with incremental re-scan.
+"""Sharded, cached full-chip scanning — the scan engine.
 
-:class:`ScanFarm` is the wafer-scale front end to
-:class:`~repro.core.fullchip.FullChipScanner`'s machinery. It decomposes
-a scan three ways, every one of them exact:
+Production flows don't hand the detector pre-cut clips — they sweep a
+layout. :class:`ScanFarm` tiles a :class:`~repro.geometry.layout.Layout`
+into overlapping clip windows, scores them with a trained detector, and
+merges flagged windows into hotspot regions. A detector exposing
+``predict_proba_tensors`` and a feature-tensor ``extractor`` scans
+against one shared block-DCT grid
+(:class:`~repro.features.sliding.SlidingFeatureExtractor`): each layout
+pixel is rasterised and transformed once, however many windows overlap
+it. Any other detector (the baselines) is scored clip by clip. The farm
+resolves that path once per scan; it is part of the journal header and
+of every window fingerprint. The farm decomposes a scan three ways,
+every one of them exact:
 
 1. **Reuse** — each window gets a content fingerprint (geometry digest
    salted with feature config + model identity). Windows whose
@@ -18,27 +27,29 @@ a scan three ways, every one of them exact:
    cheap band steals the next one. Each shard rasterises only its own
    block-aligned sub-region, whose coefficient sub-grid is bit-identical
    to the matching slice of the full-chip grid by construction.
-3. **Assembly** — probabilities stream back through the same journal and
-   the same :func:`~repro.core.fullchip.assemble_scan_result` path the
-   serial scanner uses, so a farm scan's :class:`ScanResult` differs
-   from a serial scan's only if the probabilities do.
+3. **Assembly** — probabilities stream back through the journal and
+   :func:`~repro.core.fullchip.assemble_scan_result`, so a scan's
+   :class:`ScanResult` depends on nothing but its probability vector.
 
 For deterministic per-window detectors (the probe detectors, anything
-whose output is independent of batch composition) the farm result is
-therefore *bitwise* equal to a serial scan, warm cache or cold — the
-property the equivalence tests pin. The CNN's BLAS kernels pick
-different instruction paths for different batch shapes, so for real
-detectors equality holds at flagged-window/region level (the same
-contract the benchmarks assert between the serial pipelines).
+whose output is independent of batch composition) the result is
+therefore *bitwise* independent of worker count, shard count and cache
+state — the property the equivalence tests pin against the reference
+scans in :mod:`repro.testing`. The CNN's BLAS kernels pick different
+instruction paths for different batch shapes, so for real detectors
+equality across worker counts holds at flagged-window/region level.
 
-Failure handling follows the sliding extractor: a worker process that
-dies (SIGKILL, OOM) breaks the pool, which is respawned once and then
-degraded to in-process execution; the journal makes a killed *parent*
-resumable mid-scan. A lost shard is reported per shard with a
-``scan.shard.lost`` warning, and whatever stage metrics it managed to
-spill before dying are merged back under a ``shard_lost`` label — the
-partial work stays visible without double-counting the re-run in the
-unlabelled totals, so farm-vs-serial metric totals still reconcile.
+``workers=1`` runs its single shard in-process, and each scored batch
+lands in the result, the journal and the drift monitor as soon as it is
+scored, so a killed scan resumes from its last finished batch. With
+``workers > 1`` shards run on a process pool and each lands as one
+journal record. A worker process that dies (SIGKILL, OOM) breaks the
+pool, which is respawned once and then degraded to in-process
+execution; the journal makes a killed *parent* resumable mid-scan. A
+lost shard is reported per shard with a ``scan.shard.lost`` warning, and
+whatever stage metrics it managed to spill before dying are merged back
+under a ``shard_lost`` label — the partial work stays visible without
+double-counting the re-run in the unlabelled totals.
 
 Shard workers run under a private event bus and metrics registry; their
 span events (``farm.shard`` → ``scan.extract``/``scan.inference``) ride
@@ -73,7 +84,6 @@ from typing import (
 import numpy as np
 
 from repro.core.fullchip import (
-    FullChipScanner,
     ScanJournal,
     ScanResult,
     assemble_scan_result,
@@ -81,12 +91,9 @@ from repro.core.fullchip import (
 )
 from repro.data.dataset import HotspotDataset
 from repro.exceptions import FeatureError, TrainingError
-from repro.features.sliding import (
-    SlidingFeatureExtractor,
-    bind_worker_to_parent,
-)
+from repro.features.sliding import SlidingFeatureExtractor
+from repro.features.tensor import FeatureTensorExtractor
 from repro.geometry.layout import Layout, iter_clip_windows
-from repro.geometry.rect import Rect
 from repro.obs import MetricsRegistry, emit, get_registry, set_registry, span
 from repro.obs.events import Event, EventBus, get_bus, set_bus
 from repro.obs.tracing import use_trace
@@ -101,8 +108,34 @@ from repro.testing.faults import maybe_fail
 
 PathLike = Union[str, Path]
 
+#: A pool shard's outcome: (probabilities, metrics, events, seconds).
+ShardResult = Tuple[np.ndarray, Dict[str, Any], List[Dict[str, Any]], float]
+
 #: Per-process scan context installed by the pool initializer.
 _WORKER: Dict[str, Any] = {}
+
+
+def bind_worker_to_parent() -> None:
+    """Ask the kernel to SIGTERM this worker when its parent dies.
+
+    Without this, a scan process killed mid-run (OOM killer, operator
+    SIGKILL) strands its pool workers as orphans that keep every
+    inherited fd open — journal files, and pipes whose readers then
+    never see EOF. PR_SET_PDEATHSIG bounds worker lifetime strictly by
+    the parent's. Linux-only; elsewhere workers stay plain orphans.
+    The serving fleet's replica processes use it too.
+    """
+    try:
+        import ctypes
+        import signal
+
+        libc = ctypes.CDLL("libc.so.6", use_errno=True)
+        PR_SET_PDEATHSIG = 1
+        libc.prctl(PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0)
+    except (OSError, AttributeError):  # pragma: no cover - non-Linux
+        return
+    if os.getppid() == 1:  # pragma: no cover - fork/death race
+        os._exit(1)
 
 
 def _init_worker(payload: Dict[str, Any]) -> None:
@@ -160,24 +193,14 @@ def _read_spill(path: Optional[str]) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
-def _scan_shard(
-    shard: RegionShard,
-) -> Tuple[int, np.ndarray, Dict[str, Any], List[Dict[str, Any]], float]:
-    """Pool entry point — module-level so it pickles."""
-    return _shard_result(_WORKER["payload"], shard)
+def _scan_shard(shard: RegionShard) -> ShardResult:
+    """Pool entry point: scan one shard, package everything it produced.
 
-
-def _shard_result(
-    payload: Dict[str, Any], shard: RegionShard
-) -> Tuple[int, np.ndarray, Dict[str, Any], List[Dict[str, Any]], float]:
-    """Scan one shard; returns (index, probabilities, metrics, events, seconds).
-
-    Runs under a private metrics registry *and* a private event bus, so
-    stage timings (raster, DCT, inference) and span events travel back
-    in the returned tuple: the parent merges the snapshot and re-emits
-    the events on its own bus — the same convention the sliding
-    extractor's tile workers use, extended with tracing. The whole shard
-    runs inside a ``farm.shard`` span parented (via the shipped
+    Module-level so it pickles. Runs under a private metrics registry
+    *and* a private event bus, so stage timings (raster, DCT, inference)
+    and span events travel back in the returned tuple: the parent merges
+    the snapshot and re-emits the events on its own bus. The
+    ``farm.shard`` span is parented (via the shipped
     :class:`~repro.obs.tracing.TraceContext`) to the farm's ``farm.scan``
     span, so worker-process spans join the parent scan's trace tree.
 
@@ -186,7 +209,7 @@ def _shard_result(
     completion — a shard that dies mid-flight leaves its partial work
     on disk for the parent's lost-shard accounting.
     """
-    maybe_fail("farm.shard", shard.index)
+    payload = _WORKER["payload"]
     started = time.perf_counter()
     registry = MetricsRegistry()
     previous = set_registry(registry)
@@ -195,14 +218,16 @@ def _shard_result(
     bus.attach(collector)
     previous_bus = set_bus(bus)
     spill = _spill_path(payload, shard.index)
+    probabilities = np.empty(len(shard.window_indices), dtype=np.float64)
+
+    def keep(positions: np.ndarray, scored: np.ndarray) -> None:
+        probabilities[positions] = scored
+        if spill is not None:
+            _write_spill(spill, shard.index, registry.snapshot())
+
     try:
         with use_trace(payload.get("trace")):
-            with span(
-                "farm.shard",
-                shard=shard.index,
-                windows=len(shard.window_indices),
-            ):
-                probabilities = _shard_probabilities(payload, shard, spill)
+            _score_shard(payload, shard, keep)
     finally:
         set_bus(previous_bus)
         set_registry(previous)
@@ -212,7 +237,6 @@ def _shard_result(
         except OSError:
             pass
     return (
-        shard.index,
         probabilities,
         registry.snapshot(),
         collector.events,
@@ -220,49 +244,52 @@ def _shard_result(
     )
 
 
-def _shard_probabilities(
+def _score_shard(
     payload: Dict[str, Any],
     shard: RegionShard,
-    spill: Optional[str] = None,
-) -> np.ndarray:
-    """Hotspot probability for each of the shard's windows, in order."""
+    on_batch: Callable[[np.ndarray, np.ndarray], None],
+) -> None:
+    """Score a shard's windows inside its ``farm.shard`` span.
+
+    Each batch goes to ``on_batch(positions, probabilities)`` as soon as
+    it is scored; ``positions`` index into ``shard.window_indices``.
+    Shared-grid batches come from
+    :meth:`~repro.features.sliding.SlidingFeatureExtractor.iter_batches`
+    over the shard's own region; per-clip batches cut, rasterise and
+    encode each window on its own.
+    """
+    maybe_fail("farm.shard", shard.index)
     layout: Layout = payload["layout"]
     detector = payload["detector"]
     batch_size: int = payload["batch_size"]
     windows = [payload["windows"][i] for i in shard.window_indices]
-    probabilities = np.empty(len(windows), dtype=np.float64)
-    if payload["use_shared"]:
-        extractor = SlidingFeatureExtractor(
-            detector.extractor.config,
-            clip_nm=payload["clip_nm"],
-            tile_blocks=payload["tile_blocks"],
-            workers=1,
-        )
-        for indices, tensors in extractor.iter_batches(
-            layout, windows, batch_size, region=shard.region
-        ):
-            with span("scan.inference", batch=len(indices)):
-                probabilities[indices] = detector.predict_proba_tensors(
-                    tensors
-                )[:, 1]
-            if spill is not None:
-                _write_spill(spill, shard.index, get_registry().snapshot())
-    else:
-        for lo in range(0, len(windows), batch_size):
-            chunk = windows[lo : lo + batch_size]
-            with span("scan.extract", batch=len(chunk)):
-                clips = [
-                    layout.clip_at(w, name=f"farm_{shard.index}_{lo + i}")
-                    for i, w in enumerate(chunk)
-                ]
-                batch = HotspotDataset(clips, name="farm", allow_unlabelled=True)
-            with span("scan.inference", batch=len(clips)):
-                probabilities[lo : lo + len(chunk)] = detector.predict_proba(
-                    batch
-                )[:, 1]
-            if spill is not None:
-                _write_spill(spill, shard.index, get_registry().snapshot())
-    return probabilities
+    with span("farm.shard", shard=shard.index, windows=len(windows)):
+        if payload["use_shared"]:
+            extractor = SlidingFeatureExtractor(
+                detector.extractor.config,
+                clip_nm=payload["clip_nm"],
+                tile_blocks=payload["tile_blocks"],
+            )
+            for positions, tensors in extractor.iter_batches(
+                layout, windows, batch_size, region=shard.region
+            ):
+                with span("scan.inference", batch=len(positions)):
+                    scored = detector.predict_proba_tensors(tensors)[:, 1]
+                on_batch(positions, scored)
+        else:
+            for lo in range(0, len(windows), batch_size):
+                chunk = windows[lo : lo + batch_size]
+                with span("scan.extract", batch=len(chunk)):
+                    clips = [
+                        layout.clip_at(w, name=f"farm_{shard.index}_{lo + i}")
+                        for i, w in enumerate(chunk)
+                    ]
+                    batch = HotspotDataset(
+                        clips, name="farm", allow_unlabelled=True
+                    )
+                with span("scan.inference", batch=len(clips)):
+                    scored = detector.predict_proba(batch)[:, 1]
+                on_batch(np.arange(lo, lo + len(chunk)), scored)
 
 
 class ScanFarm:
@@ -271,35 +298,42 @@ class ScanFarm:
     Parameters
     ----------
     detector:
-        Same contract as :class:`~repro.core.fullchip.FullChipScanner`.
-        Must be picklable when ``workers > 1`` (trained detectors and the
-        probe detectors are).
-    clip_nm / stride_nm / threshold / pipeline / tile_blocks:
-        As for the serial scanner; ``pipeline`` is resolved once up front
-        (``"auto"`` → shared when the detector supports it) so every
-        shard takes the same path.
+        A trained object exposing ``predict_proba(HotspotDataset)`` —
+        :class:`repro.core.HotspotDetector` or either baseline. Detectors
+        that additionally expose ``predict_proba_tensors`` and a
+        feature-tensor ``extractor`` scan against the shared block-DCT
+        grid. Must be picklable when ``workers > 1`` (trained detectors
+        and the probe detectors are).
+    clip_nm / stride_nm:
+        Window size and scan stride. A stride of half the clip size (the
+        default) gives every layout point a window in whose core it lies.
+    threshold:
+        Hotspot-probability threshold for flagging a window.
     workers:
-        Shard worker *processes*. 1 (the default) runs every shard
-        in-process — no pool is ever spun up, so a single-worker farm
-        costs what a serial scan costs.
+        Shard worker *processes*. 1 (the default) runs the scan
+        in-process as a single shard — no pool is ever spun up.
+    tile_blocks:
+        Tile size (in blocks) for the shared raster; see
+        :class:`~repro.features.sliding.SlidingFeatureExtractor`.
     shards_per_worker:
         Queue oversubscription factor: the scan is cut into about
         ``workers * shards_per_worker`` row bands so early-finishing
         workers pull extra bands instead of idling.
     cache_dir:
-        Directory for the persistent :class:`ScanCache`. ``None``
-        disables caching (fingerprints are still used for in-scan
-        deduplication of repeated geometry).
+        Directory for the persistent :class:`ScanCache`, read again on
+        every scan. ``None`` disables caching (fingerprints are still
+        used for in-scan deduplication of repeated geometry).
     model_key:
         Overrides :func:`~repro.scanfarm.fingerprint.model_fingerprint`
         as the model identity in fingerprints — for callers that version
         models externally (e.g. the serving registry's names).
     drift_monitor:
-        Optional :class:`~repro.obs.drift.DriftMonitor` fed every
-        shard's freshly computed hotspot probabilities as they stream
-        back (cached/deduplicated windows are not re-observed), with a
-        forced drift check once per scan — same contract as
-        :class:`~repro.core.fullchip.FullChipScanner`.
+        Optional :class:`~repro.obs.drift.DriftMonitor` fed the freshly
+        computed hotspot probabilities as they land (cached/deduplicated
+        windows are not re-observed), with a forced drift check once per
+        completed scan, so a layout whose score distribution has shifted
+        from the model's publish-time reference raises ``drift.alert``
+        before anyone reads the result.
     """
 
     #: Pool respawns after a dead worker before degrading to in-process.
@@ -311,7 +345,6 @@ class ScanFarm:
         clip_nm: int = 1200,
         stride_nm: int = 600,
         threshold: float = 0.5,
-        pipeline: str = "auto",
         workers: int = 1,
         tile_blocks: int = 16,
         shards_per_worker: int = 2,
@@ -319,29 +352,22 @@ class ScanFarm:
         model_key: Optional[str] = None,
         drift_monitor=None,
     ):
-        # The serial scanner validates detector/threshold/pipeline and
-        # owns the pipeline-resolution logic; composing it keeps the two
-        # front ends impossible to configure apart.
-        self._serial = FullChipScanner(
-            detector,
-            clip_nm=clip_nm,
-            stride_nm=stride_nm,
-            threshold=threshold,
-            pipeline=pipeline,
-            workers=1,
-            tile_blocks=tile_blocks,
-        )
+        if not hasattr(detector, "predict_proba"):
+            raise TrainingError("detector must expose predict_proba(dataset)")
+        if not 0.0 < threshold < 1.0:
+            raise TrainingError(f"threshold must be in (0, 1), got {threshold}")
+        if workers < 1:
+            raise TrainingError(f"workers must be >= 1, got {workers}")
+        if tile_blocks < 1:
+            raise TrainingError(f"tile_blocks must be >= 1, got {tile_blocks}")
         if shards_per_worker < 1:
             raise TrainingError(
                 f"shards_per_worker must be >= 1, got {shards_per_worker}"
             )
-        if workers < 1:
-            raise TrainingError(f"workers must be >= 1, got {workers}")
         self.detector = detector
         self.clip_nm = clip_nm
         self.stride_nm = stride_nm
         self.threshold = threshold
-        self.pipeline = pipeline
         self.workers = workers
         self.tile_blocks = tile_blocks
         self.shards_per_worker = shards_per_worker
@@ -350,24 +376,22 @@ class ScanFarm:
         self.drift_monitor = drift_monitor
 
     # ------------------------------------------------------------------
-    def _resolve_pipeline(self) -> Tuple[bool, int]:
-        """(use shared raster?, block pitch nm) — decided once per scan."""
-        use_shared = self._serial._use_shared_pipeline()
-        if use_shared:
-            try:
-                probe = SlidingFeatureExtractor(
-                    self.detector.extractor.config,
-                    clip_nm=self.clip_nm,
-                    tile_blocks=self.tile_blocks,
-                )
-                return True, probe.block_nm
-            except FeatureError:
-                if self.pipeline == "shared":
-                    raise
-                use_shared = False
-        # Per-clip shards have no block lattice; any pitch yields valid
-        # (unused) shard regions. The clip size keeps bands window-sized.
-        return False, self.clip_nm
+    def _grid_pitch(self) -> Optional[int]:
+        """Block pitch (nm) of the shared grid; ``None``: score per clip.
+
+        The shared grid needs ``predict_proba_tensors`` and a
+        feature-tensor extractor whose block grid tiles the clip.
+        """
+        extractor = getattr(self.detector, "extractor", None)
+        if not hasattr(self.detector, "predict_proba_tensors") or not isinstance(
+            extractor, FeatureTensorExtractor
+        ):
+            return None
+        config = extractor.config
+        try:
+            return config.block_size_px(self.clip_nm) * config.pixel_nm
+        except FeatureError:
+            return None
 
     def model_key(self) -> str:
         """The model identity folded into every fingerprint."""
@@ -378,10 +402,10 @@ class ScanFarm:
     def _journal_header(
         self, layout: Layout, window_count: int, resolved: str
     ) -> Dict[str, Any]:
-        """Serial header plus the farm's shard/cache/model identity.
+        """Scan geometry plus the farm's path/shard/cache/model identity.
 
-        Any drift — different worker count, shard factor, cache
-        directory or model — makes :meth:`ScanJournal.resume` raise
+        Any drift — different scoring path, worker count, shard factor,
+        cache directory or model — makes :meth:`ScanJournal.resume` raise
         :class:`~repro.exceptions.ScanJournalError` rather than silently
         splicing incompatible scans together.
         """
@@ -406,19 +430,33 @@ class ScanFarm:
         journal: Optional[PathLike] = None,
         resume: bool = False,
     ) -> ScanResult:
-        """Scan ``layout``; same contract as ``FullChipScanner.scan``.
+        """Scan ``layout`` and return flagged windows + merged regions.
 
-        On top of the serial contract: windows already answered by the
-        cache, the resumed journal, or an identical window earlier in the
-        scan are not recomputed, and the rest fan out across the shard
-        worker pool. The returned :class:`ScanResult` is
-        order-identical to a serial scan's (windows in scan order,
-        probabilities aligned).
+        ``journal`` names a :class:`ScanJournal` file that freshly scored
+        windows are written to (each record fsync-ed as it lands); with
+        ``resume=True`` an existing journal's windows are loaded instead
+        of recomputed, so an interrupted scan continues from where it
+        crashed and — the detector being deterministic per window —
+        produces the same :class:`ScanResult` a clean run would.
+
+        Windows already answered by the cache, the resumed journal, or an
+        identical window earlier in the scan are not recomputed; the rest
+        are scored shard by shard. The result lists windows in scan order
+        with probabilities aligned.
+
+        Telemetry: ``farm.fingerprint`` and ``farm.scan`` spans, with
+        ``farm.shard`` → ``scan.grid`` / ``scan.extract`` /
+        ``scan.inference`` and ``scan.merge`` nested inside; afterwards
+        the windows-per-second gauge is updated and ``farm.scan.complete``
+        (info) plus a full ``metrics.snapshot`` (debug) are emitted, so a
+        ``--log-json`` run log reconstructs the stage breakdown offline
+        via ``repro-hotspot obs report``.
         """
         if resume and journal is None:
             raise TrainingError("resume=True needs a journal path")
         started = time.perf_counter()
-        use_shared, block_nm = self._resolve_pipeline()
+        block_nm = self._grid_pitch()
+        use_shared = block_nm is not None
         resolved = "shared" if use_shared else "per_clip"
         windows = tuple(
             iter_clip_windows(layout.region, self.clip_nm, self.stride_nm)
@@ -500,7 +538,9 @@ class ScanFarm:
             windows,
             representatives,
             region=layout.region,
-            block_nm=block_nm,
+            # Per-clip shards have no block lattice; the clip size keeps
+            # their (unused) regions window-sized.
+            block_nm=block_nm if use_shared else self.clip_nm,
             shard_count=shard_count,
         )
         payload = {
@@ -515,32 +555,41 @@ class ScanFarm:
         probabilities = np.empty(len(windows), dtype=np.float64)
         for i, probability in done.items():
             probabilities[i] = probability
-        consumed = {"batches": 0}
+        landed = {"batches": 0}
         bus = get_bus()
 
-        def consume(
-            shard: RegionShard,
-            result: Tuple[
-                int, np.ndarray, Dict[str, Any], List[Dict[str, Any]], float
-            ],
-        ) -> None:
-            _, shard_probs, snapshot, events, seconds = result
-            indices = list(shard.window_indices)
-            probabilities[indices] = shard_probs
-            for i, p in zip(indices, shard_probs):
+        def land(indices: Sequence[int], scored: np.ndarray) -> None:
+            """Freshly scored windows: result, journal, drift, fault point."""
+            probabilities[indices] = scored
+            for i, p in zip(indices, scored):
                 known[fingerprints[i]] = float(p)
             if scan_journal is not None:
-                scan_journal.record(indices, shard_probs)
+                scan_journal.record(indices, scored)
             if self.drift_monitor is not None:
-                self.drift_monitor.observe(shard_probs)
-            registry.merge_snapshot(snapshot)
+                self.drift_monitor.observe(scored)
+            maybe_fail("farm.batch", landed["batches"])
+            landed["batches"] += 1
+
+        def shard_done(shard: RegionShard, seconds: float) -> None:
             registry.counter(
                 "farm.shard.windows", labels={"shard": str(shard.index)}
-            ).inc(len(indices))
+            ).inc(len(shard.window_indices))
             registry.histogram("farm.shard.seconds").observe(seconds)
+            emit(
+                "farm.shard.complete",
+                level="debug",
+                shard=shard.index,
+                windows=len(shard.window_indices),
+                seconds=seconds,
+            )
+
+        def consume(shard: RegionShard, result: ShardResult) -> None:
+            """Land a pool shard: one journal record for the whole band."""
+            shard_probs, snapshot, events, seconds = result
+            registry.merge_snapshot(snapshot)
             # Replay the shard's span events (collected on its private
-            # bus, possibly in another process) onto the parent bus:
-            # their trace/span ids are in the attrs, so the JSONL log
+            # bus in another process) onto the parent bus: their
+            # trace/span ids are in the attrs, so the JSONL log
             # reassembles parent + worker spans into one trace tree.
             for event in events:
                 bus.emit(
@@ -548,15 +597,19 @@ class ScanFarm:
                     level=event.get("level", "debug"),
                     **event.get("attrs", {}),
                 )
-            emit(
-                "farm.shard.complete",
-                level="debug",
-                shard=shard.index,
-                windows=len(indices),
-                seconds=seconds,
+            land(list(shard.window_indices), shard_probs)
+            shard_done(shard, seconds)
+
+        def scan_in_process(shard: RegionShard) -> None:
+            """Score a shard here, landing every batch as it is scored."""
+            tick = time.perf_counter()
+            indices = np.asarray(shard.window_indices, dtype=np.int64)
+            _score_shard(
+                payload,
+                shard,
+                lambda positions, scored: land(indices[positions], scored),
             )
-            maybe_fail("farm.batch", consumed["batches"])
-            consumed["batches"] += 1
+            shard_done(shard, time.perf_counter() - tick)
 
         spill_dir: Optional[str] = None
         try:
@@ -567,17 +620,17 @@ class ScanFarm:
                 workers=self.workers,
                 pipeline=resolved,
             ) as farm_span:
-                # Shard workers (threads or processes) parent their
-                # farm.shard spans to this span via the shipped context.
-                payload["trace"] = farm_span.context()
                 completed: set = set()
                 if self.workers > 1 and len(shards) > 1:
+                    # Pool workers parent their farm.shard spans to this
+                    # span via the shipped context.
+                    payload["trace"] = farm_span.context()
                     spill_dir = tempfile.mkdtemp(prefix="repro-farm-spill-")
                     payload["spill_dir"] = spill_dir
                     completed = self._run_shards_pool(payload, shards, consume)
                 for shard in shards:
                     if shard.index not in completed:
-                        consume(shard, _shard_result(payload, shard))
+                        scan_in_process(shard)
                 if duplicates:
                     replicated = [
                         known[fingerprints[i]] for i in duplicates
@@ -653,14 +706,14 @@ class ScanFarm:
         self,
         payload: Dict[str, Any],
         shards: Sequence[RegionShard],
-        consume: Callable[[RegionShard, Tuple], None],
+        consume: Callable[[RegionShard, ShardResult], None],
     ) -> set:
         """Run shards on a worker pool; returns indices that completed.
 
-        Mirrors the sliding extractor's containment: a dying worker
-        breaks the pool (sibling futures fail with it), the pool is
-        respawned once with the unfinished shards, and a second break
-        degrades the remainder to in-process execution in the caller.
+        A dying worker breaks the pool (sibling futures fail with it),
+        the pool is respawned once with the unfinished shards, and a
+        second break degrades the remainder to in-process execution in
+        the caller.
         Pool scheduling itself is the work-stealing part — shards sit in
         one shared queue and idle workers pull the next one.
 
@@ -671,8 +724,8 @@ class ScanFarm:
         partial metrics snapshot before dying — that partial work is
         merged back under a ``shard_lost="<index>"`` label. The re-run
         of the same shard reports into the unlabelled series, so the
-        unlabelled totals still reconcile with a serial scan while the
-        wasted partial work stays accounted for.
+        unlabelled totals still reconcile with a single-process scan
+        while the wasted partial work stays accounted for.
         """
         completed: set = set()
         pool_failures = 0

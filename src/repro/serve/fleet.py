@@ -67,13 +67,13 @@ from repro.exceptions import (
     RateLimitedError,
     ServeError,
 )
-from repro.features.sliding import bind_worker_to_parent
 from repro.features.tensor import FeatureTensorExtractor
 from repro.nn.kernels import Workspace, use_workspace
 from repro.obs import emit, get_registry
 from repro.obs.events import EventBus, set_bus
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.slo import SLObjective, SLOTracker, default_serve_objectives
+from repro.scanfarm.farm import bind_worker_to_parent
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import Router
 from repro.serve.shm import SharedModel, sweep_stale_segments

@@ -9,10 +9,10 @@ no hooks installed and no ``REPRO_FAULTS`` in the environment that is a
 dictionary miss and an environment read, nothing more.
 
 The toolkit half (:class:`FlakyLayer`, :class:`CrashingWorker`,
-:class:`TornWriteFS`, probe detectors, equality helpers) imports the
-``repro.nn`` stack, which itself arms fault points from
-:mod:`repro.testing.faults` — so those names load lazily (PEP 562) to
-keep the import graph acyclic.
+:class:`TornWriteFS`, probe detectors, the reference scan, equality
+helpers) imports the ``repro.nn`` stack, which itself arms fault points
+from :mod:`repro.testing.faults` — so those names load lazily (PEP 562)
+to keep the import graph acyclic.
 """
 
 from repro.testing.faults import (
@@ -32,6 +32,8 @@ _TOOLKIT_NAMES = (
     "TensorProbeDetector",
     "TornWriteFS",
     "histories_equal",
+    "reference_scan",
+    "scan_results_close",
     "scan_results_equal",
     "weights_equal",
 )

@@ -16,6 +16,10 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.fullchip import ScanResult, assemble_scan_result
+from repro.data.dataset import HotspotDataset
+from repro.features.sliding import SlidingFeatureExtractor
+from repro.geometry.layout import Layout, iter_clip_windows
 from repro.nn.layer import Layer, Parameter
 from repro.nn.trainer import TrainingHistory
 from repro.testing.faults import FAULTS_ENV, InjectedFault
@@ -220,6 +224,36 @@ class TensorProbeDetector:
         return self.predict_proba_tensors(tensors)
 
 
+def reference_scan(
+    detector, layout: Layout, *, per_clip: bool = False, stride_nm: int = 600
+) -> ScanResult:
+    """The plainest scan there is: every window scored, nothing reused.
+
+    Windows are ``ScanFarm``'s defaults (1200 nm clips, flagged at 0.5).
+    ``per_clip=True`` cuts each window out of the layout and scores it
+    through ``predict_proba`` (what any detector supports); otherwise
+    every window tensor is sliced from one whole-chip grid
+    (:meth:`~repro.features.sliding.SlidingFeatureExtractor.extract_windows`)
+    and scored through ``predict_proba_tensors``. Either way the
+    probabilities go through the same
+    :func:`~repro.core.fullchip.assemble_scan_result` the scan farm ends
+    in — the oracle the farm's equivalence tests compare against.
+    """
+    started = time.perf_counter()
+    windows = tuple(iter_clip_windows(layout.region, 1200, stride_nm))
+    if per_clip:
+        clips = [layout.clip_at(window) for window in windows]
+        dataset = HotspotDataset(clips, name="reference", allow_unlabelled=True)
+        scores = detector.predict_proba(dataset)
+    else:
+        sliding = SlidingFeatureExtractor(detector.extractor.config)
+        scores = detector.predict_proba_tensors(
+            sliding.extract_windows(layout, windows)
+        )
+    probabilities = np.asarray(scores[:, 1], dtype=np.float64)
+    return assemble_scan_result(windows, probabilities, 0.5, started)
+
+
 def histories_equal(
     a: TrainingHistory, b: TrainingHistory, ignore_timing: bool = True
 ) -> bool:
@@ -261,4 +295,26 @@ def scan_results_equal(a, b) -> bool:
         and a.flagged_indices == b.flagged_indices
         and a.flagged == b.flagged
         and a.regions == b.regions
+    )
+
+
+def scan_results_close(a, b) -> bool:
+    """Same windows, flags and regions; probabilities within 1e-9.
+
+    The contract between the grid-slice and per-clip paths: both encode
+    the same blocks, but through differently shaped DCT batches.
+    """
+    return (
+        a.windows == b.windows
+        and np.allclose(a.probabilities, b.probabilities, rtol=0.0, atol=1e-9)
+        and a.flagged_indices == b.flagged_indices
+        and a.flagged == b.flagged
+        and [(r.bbox, r.window_count) for r in a.regions]
+        == [(r.bbox, r.window_count) for r in b.regions]
+        and np.allclose(
+            [r.max_probability for r in a.regions],
+            [r.max_probability for r in b.regions],
+            rtol=0.0,
+            atol=1e-9,
+        )
     )

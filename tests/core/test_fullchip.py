@@ -1,4 +1,6 @@
-"""Tests for full-chip scanning."""
+"""Tests for full-chip scanning: region merging and the scan engine."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,52 +9,53 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TrainingError
 from repro.core.fullchip import (
-    FullChipScanner,
     HotspotRegion,
     ScanResult,
     merge_windows,
-    merge_windows_pairwise,
+    recall_against_oracle,
 )
-from repro.data.fullchip import FullChipSpec, make_labelled_layout, make_layout
-from repro.features.tensor import FeatureTensorConfig, FeatureTensorExtractor
+from repro.data.fullchip import FullChipSpec, make_layout
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
+from repro.scanfarm import ScanFarm
+from repro.testing import (
+    DensityProbeDetector as ProbeDetector,
+    TensorProbeDetector,
+    reference_scan,
+    scan_results_close,
+    scan_results_equal,
+)
 
 
-class ProbeDetector:
-    """Flags windows whose clip density exceeds a cutoff."""
-
-    def __init__(self, cutoff=0.15):
-        self.cutoff = cutoff
-
-    def predict_proba(self, dataset):
-        densities = np.array([clip.density() for clip in dataset])
-        p1 = np.clip(densities / (2 * self.cutoff), 0.0, 1.0)
-        return np.stack([1 - p1, p1], axis=1)
-
-
-class TensorProbeDetector:
-    """Deterministic detector exposing the tensor-level fast path.
-
-    Scores from the mean absolute feature magnitude, so both pipelines are
-    comparable without training a CNN.
-    """
-
-    def __init__(self, config=FeatureTensorConfig(block_count=6,
-                                                  coefficients=10,
-                                                  pixel_nm=10)):
-        self.extractor = FeatureTensorExtractor(config)
-
-    def predict_proba_tensors(self, tensors):
-        magnitude = np.abs(np.asarray(tensors, dtype=np.float64))
-        score = np.tanh(magnitude.mean(axis=(1, 2, 3)))
-        return np.stack([1 - score, score], axis=1)
-
-    def predict_proba(self, dataset):
-        tensors = np.stack(
-            [self.extractor.extract(clip) for clip in dataset]
+def merge_windows_pairwise(windows, probabilities):
+    """Oracle for :func:`merge_windows`: components of the all-pairs
+    touch graph, each reported as (bbox, size, peak), by falling peak."""
+    unvisited = set(range(len(windows)))
+    regions = []
+    for seed in range(len(windows)):
+        if seed not in unvisited:
+            continue
+        unvisited.discard(seed)
+        members, frontier = [seed], [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in sorted(unvisited):
+                if windows[i].touches(windows[j]):
+                    unvisited.discard(j)
+                    members.append(j)
+                    frontier.append(j)
+        bbox = windows[members[0]]
+        for m in members[1:]:
+            bbox = bbox.union_bbox(windows[m])
+        regions.append(
+            HotspotRegion(
+                bbox=bbox,
+                window_count=len(members),
+                max_probability=float(max(probabilities[m] for m in members)),
+            )
         )
-        return self.predict_proba_tensors(tensors)
+    regions.sort(key=lambda r: -r.max_probability)
+    return regions
 
 
 class TestMergeWindows:
@@ -81,8 +84,6 @@ class TestMergeWindows:
     def test_mismatch_raises(self):
         with pytest.raises(TrainingError):
             merge_windows([Rect(0, 0, 1, 1)], [])
-        with pytest.raises(TrainingError):
-            merge_windows_pairwise([Rect(0, 0, 1, 1)], [])
 
     @given(
         st.lists(
@@ -131,11 +132,11 @@ class TestFullChipSpec:
 
 class TestScanner:
     def make_scanner(self, **kwargs):
-        return FullChipScanner(ProbeDetector(), **kwargs)
+        return ScanFarm(ProbeDetector(), **kwargs)
 
     def test_requires_predict_proba(self):
         with pytest.raises(TrainingError):
-            FullChipScanner(object())
+            ScanFarm(object())
 
     def test_threshold_validation(self):
         with pytest.raises(TrainingError):
@@ -165,20 +166,18 @@ class TestScanner:
 
     def test_recall_against_oracle(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=1))
-        scanner = self.make_scanner(threshold=0.01)
-        result = scanner.scan(layout)
+        result = self.make_scanner(threshold=0.01).scan(layout)
         # With an ultra-permissive threshold every filled site is flagged,
         # so any site overlapping the layout's shapes is recovered.
         sites = [Rect(0, 0, 1200, 1200)]
-        recall = scanner.recall_against_oracle(result, sites)
-        assert 0.0 <= recall <= 1.0
+        assert recall_against_oracle(result, sites) == 1.0
+        assert recall_against_oracle(result, [Rect(9000, 9000, 9100, 9100)]) == 0.0
 
     def test_recall_requires_sites(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=1))
-        scanner = self.make_scanner()
-        result = scanner.scan(layout)
+        result = self.make_scanner().scan(layout)
         with pytest.raises(TrainingError):
-            scanner.recall_against_oracle(result, [])
+            recall_against_oracle(result, [])
 
     def test_flagged_indices_align_views(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=1))
@@ -193,76 +192,76 @@ class TestScanner:
         )
 
     def test_pipeline_validation(self):
-        with pytest.raises(TrainingError):
-            self.make_scanner(pipeline="fastest")
-        with pytest.raises(TrainingError):
-            self.make_scanner(workers=0)
+        # The scoring path follows from the detector; it is not an option.
+        with pytest.raises(TypeError):
+            self.make_scanner(pipeline="shared")
+        for bad in (
+            dict(workers=0),
+            dict(tile_blocks=0),
+            dict(shards_per_worker=0),
+        ):
+            with pytest.raises(TrainingError):
+                self.make_scanner(**bad)
 
-    def test_shared_pipeline_requires_tensor_detector(self):
+    def test_shared_pipeline_requires_tensor_detector(self, tmp_path):
+        def resolved(detector):
+            journal = tmp_path / "scan.jsonl"
+            ScanFarm(detector).scan(layout, journal=journal)
+            with open(journal, encoding="utf-8") as handle:
+                return json.loads(handle.readline())["pipeline"]
+
+        class TensorsWithoutBlockGrid(ProbeDetector):
+            extractor = None
+
+            def predict_proba_tensors(self, tensors):
+                raise AssertionError("no shared grid to score from")
+
         layout = make_layout(FullChipSpec(tiles_x=2, tiles_y=2, seed=1))
-        scanner = FullChipScanner(ProbeDetector(), pipeline="shared")
-        with pytest.raises(TrainingError):
-            scanner.scan(layout)
+        assert resolved(TensorProbeDetector()) == "farm:shared"
+        assert resolved(ProbeDetector()) == "farm:per_clip"
+        assert resolved(TensorsWithoutBlockGrid()) == "farm:per_clip"
 
 
 class TestSharedPipeline:
-    """Shared-raster scan vs the per-clip path, window for window."""
-
-    def scan_both(self, layout, **kwargs):
-        detector = TensorProbeDetector()
-        shared = FullChipScanner(
-            detector, pipeline="shared", **kwargs
-        ).scan(layout)
-        legacy = FullChipScanner(detector, pipeline="per_clip").scan(layout)
-        return shared, legacy
+    """Shared-grid farm scans against the reference scans."""
 
     def test_identical_probabilities_and_regions(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=2))
-        shared, legacy = self.scan_both(layout)
-        np.testing.assert_allclose(
-            shared.probabilities, legacy.probabilities, atol=1e-9
-        )
-        assert shared.flagged_indices == legacy.flagged_indices
-        assert shared.flagged == legacy.flagged
-        assert shared.regions == legacy.regions
+        detector = TensorProbeDetector()
+        shared = ScanFarm(detector).scan(layout)
+        legacy = reference_scan(detector, layout, per_clip=True)
+        assert scan_results_close(shared, legacy)
 
     def test_parallel_workers_identical(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=2))
-        shared, legacy = self.scan_both(layout, workers=2, tile_blocks=4)
-        np.testing.assert_allclose(
-            shared.probabilities, legacy.probabilities, atol=1e-9
+        detector = TensorProbeDetector()
+        single = ScanFarm(detector, tile_blocks=4).scan(layout)
+        parallel = ScanFarm(detector, workers=2, tile_blocks=4).scan(layout)
+        assert scan_results_equal(single, parallel)
+        assert scan_results_close(
+            parallel, reference_scan(detector, layout, per_clip=True)
         )
-        assert shared.flagged == legacy.flagged
 
     def test_non_aligned_stride_still_matches(self):
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=2))
         detector = TensorProbeDetector()
         # 500 nm is not a multiple of the 200 nm block pitch: the shared
-        # pipeline must fall back per window yet agree with the legacy path.
-        shared = FullChipScanner(
-            detector, stride_nm=500, pipeline="shared"
-        ).scan(layout)
-        legacy = FullChipScanner(
-            detector, stride_nm=500, pipeline="per_clip"
-        ).scan(layout)
-        np.testing.assert_allclose(
-            shared.probabilities, legacy.probabilities, atol=1e-9
-        )
-        assert shared.flagged == legacy.flagged
+        # grid must fall back per window yet agree with the per-clip path.
+        shared = ScanFarm(detector, stride_nm=500).scan(layout)
+        legacy = reference_scan(detector, layout, per_clip=True, stride_nm=500)
+        assert scan_results_close(shared, legacy)
 
     def test_auto_uses_shared_for_tensor_detectors(self):
         layout = make_layout(FullChipSpec(tiles_x=2, tiles_y=2, seed=3))
         detector = TensorProbeDetector()
-        auto = FullChipScanner(detector, pipeline="auto").scan(layout)
-        shared = FullChipScanner(detector, pipeline="shared").scan(layout)
-        np.testing.assert_array_equal(auto.probabilities, shared.probabilities)
+        farm = ScanFarm(detector).scan(layout)
+        assert scan_results_equal(farm, reference_scan(detector, layout))
 
     def test_auto_uses_per_clip_for_dataset_detectors(self):
-        # A detector without the tensor interface scans via the per-clip
-        # path under "auto" — same behaviour as before the fast path.
+        # A detector without the tensor interface is scored clip by clip.
         layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=1))
-        auto = FullChipScanner(ProbeDetector(), pipeline="auto").scan(layout)
-        legacy = FullChipScanner(
-            ProbeDetector(), pipeline="per_clip"
-        ).scan(layout)
-        np.testing.assert_array_equal(auto.probabilities, legacy.probabilities)
+        detector = ProbeDetector()
+        farm = ScanFarm(detector).scan(layout)
+        assert scan_results_equal(
+            farm, reference_scan(detector, layout, per_clip=True)
+        )

@@ -1,19 +1,20 @@
-"""Crash-safe full-chip scanning: journals, retries, dead workers.
+"""Crash-safe full-chip scanning: journals, retries, failing tiles.
 
 The probe detectors score each window independently of batch
 composition, so "resumed scan equals clean scan" is a bitwise assertion,
-not an approximation.
+not an approximation. Every scan here is a single-process
+``ScanFarm(workers=1)``, which journals each batch as it is scored.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.fullchip import FullChipScanner, ScanJournal
+from repro.core.fullchip import ScanJournal
 from repro.data.fullchip import FullChipSpec, make_layout
 from repro.exceptions import FeatureError, ScanJournalError, TrainingError
 from repro.features.sliding import SlidingFeatureExtractor
 from repro.features.tensor import FeatureTensorConfig
-from repro.geometry.layout import iter_clip_windows
+from repro.scanfarm import ScanFarm
 from repro.testing import (
     CrashingWorker,
     DensityProbeDetector,
@@ -24,20 +25,21 @@ from repro.testing import (
     scan_results_equal,
 )
 
-PIPELINES = ("auto", "shared", "per_clip")
+#: Scoring paths: the shared grid, clip by clip, and the shared grid at
+#: a stride off the block lattice (most windows fall back per clip).
+PIPELINES = ("mixed", "shared", "per_clip")
 
 
 def make_scan_layout():
     return make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=0))
 
 
-def make_detector(pipeline):
-    return DensityProbeDetector() if pipeline == "per_clip" else TensorProbeDetector()
-
-
 def make_scanner(pipeline, **kwargs):
-    return FullChipScanner(
-        make_detector(pipeline), threshold=0.5, pipeline=pipeline, **kwargs
+    if pipeline == "per_clip":
+        return ScanFarm(DensityProbeDetector(), threshold=0.5, **kwargs)
+    stride = 500 if pipeline == "mixed" else 600
+    return ScanFarm(
+        TensorProbeDetector(), threshold=0.5, stride_nm=stride, **kwargs
     )
 
 
@@ -55,7 +57,7 @@ class TestScanResume:
         worker = CrashingWorker(
             _journaled_scan,
             args=(pipeline, journal),
-            faults="scan.batch:2=kill",
+            faults="farm.batch:2=kill",
         )
         worker.run()
         assert worker.was_killed
@@ -70,7 +72,7 @@ class TestScanResume:
         journal = str(tmp_path / "scan.jsonl")
         layout = make_scan_layout()
         scanner = make_scanner("per_clip")
-        install_fault("scan.batch", fail_on_calls(3))
+        install_fault("farm.batch", fail_on_calls(3))
         with pytest.raises(InjectedFault):
             scanner.scan(layout, batch_size=5, journal=journal)
         from repro.testing import clear_faults
@@ -88,7 +90,7 @@ class TestScanResume:
         journal = str(tmp_path / "scan.jsonl")
         layout = make_scan_layout()
         scanner = make_scanner("per_clip")
-        install_fault("scan.batch", fail_on_calls(2))
+        install_fault("farm.batch", fail_on_calls(2))
         with pytest.raises(InjectedFault):
             scanner.scan(layout, batch_size=5, journal=journal)
         from repro.testing import clear_faults
@@ -110,7 +112,7 @@ class TestScanResume:
         )
         # Any window evaluation would now crash: resume must use the
         # journal alone.
-        install_fault("scan.batch", fail_on_calls(0, 1, 2, 3, 4, 5))
+        install_fault("farm.batch", fail_on_calls(0, 1, 2, 3, 4, 5))
         again = make_scanner("per_clip").scan(
             layout, batch_size=5, journal=journal, resume=True
         )
@@ -128,13 +130,37 @@ class TestScanResume:
         )
         assert scan_results_equal(clean, resumed)
 
+    def test_journal_file_format_is_stable(self, tmp_path):
+        # Journals already on disk must keep loading: the bytes of a
+        # header and of a batch record are pinned.
+        path = tmp_path / "scan.jsonl"
+        header = {"version": 1, "windows": 2}
+        journal = ScanJournal(path)
+        journal.start(header)
+        journal.record([1, 0], np.array([0.1 + 0.2, 0.5]))
+        journal.close()
+        assert path.read_bytes() == (
+            b'{"kind": "scan-header", "version": 1, "windows": 2}\n'
+            b'{"kind": "batch", "indices": [1, 0], '
+            b'"p": [0.30000000000000004, 0.5]}\n'
+        )
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "batch", "ind')  # torn
+        reopened = ScanJournal(path)
+        assert reopened.resume(header) == {1: 0.1 + 0.2, 0: 0.5}
+        reopened.record([0], np.array([0.5]))
+        reopened.close()
+        # Appending resumed after the valid prefix, not after the tear.
+        assert path.read_bytes().endswith(
+            b'"p": [0.30000000000000004, 0.5]}\n'
+            b'{"kind": "batch", "indices": [0], "p": [0.5]}\n'
+        )
+
     def test_header_mismatch_raises(self, tmp_path):
         journal = str(tmp_path / "scan.jsonl")
         layout = make_scan_layout()
         make_scanner("per_clip").scan(layout, batch_size=5, journal=journal)
-        other = FullChipScanner(
-            DensityProbeDetector(), threshold=0.7, pipeline="per_clip"
-        )
+        other = ScanFarm(DensityProbeDetector(), threshold=0.7)
         with pytest.raises(ScanJournalError):
             other.scan(layout, batch_size=5, journal=journal, resume=True)
 
@@ -191,23 +217,6 @@ class TestWorkerFaults:
         )
         with pytest.raises(FeatureError, match="tile 0 failed"):
             extractor.coefficient_grid(grid_layout())
-
-    def test_dead_worker_degrades_to_serial(
-        self, monkeypatch, fresh_registry, captured_events
-    ):
-        # Every pool worker SIGKILLs itself on tile 1; after the respawn
-        # budget the scan falls back in-process (where kill-worker is
-        # inert) and still produces the exact serial grid.
-        monkeypatch.setenv("REPRO_FAULTS", "scan.tile:1=kill-worker")
-        extractor = SlidingFeatureExtractor(
-            FEATURES, clip_nm=1200, tile_blocks=8, workers=2,
-            min_tiles_per_worker=1,  # force the pool despite the tiny grid
-        )
-        assert np.array_equal(serial_grid(), extractor.coefficient_grid(grid_layout()))
-        assert fresh_registry.counter("scan.worker_deaths").value >= 1
-        names = {e.name for e in captured_events.events}
-        assert "scan.worker_dead" in names
-        assert "scan.degraded" in names
 
     def test_retry_config_validated(self):
         with pytest.raises(FeatureError):

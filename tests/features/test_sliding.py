@@ -1,9 +1,9 @@
 """Tests for the shared-raster sliding-window extractor.
 
 The load-bearing property is *equivalence*: whatever route a window's
-tensor takes — sliced from the global coefficient grid, per-clip fallback,
-serial or parallel tiles — it must match what
-``FeatureTensorExtractor`` produces for that window in isolation.
+tensor takes — sliced from the global coefficient grid or the per-clip
+fallback — it must match what ``FeatureTensorExtractor`` produces for
+that window in isolation.
 """
 
 import numpy as np
@@ -73,8 +73,13 @@ class TestConstruction:
             SlidingFeatureExtractor(CONFIG, clip_nm=250)  # not divisible
 
     def test_validates_workers_and_tiles(self):
-        with pytest.raises(FeatureError):
-            SlidingFeatureExtractor(CONFIG, clip_nm=CLIP_NM, workers=0)
+        # One process only: parallel scans shard through the scan farm.
+        assert SlidingFeatureExtractor(CONFIG, clip_nm=CLIP_NM, workers=1)
+        for workers in (0, 2):
+            with pytest.raises(FeatureError):
+                SlidingFeatureExtractor(
+                    CONFIG, clip_nm=CLIP_NM, workers=workers
+                )
         with pytest.raises(FeatureError):
             SlidingFeatureExtractor(CONFIG, clip_nm=CLIP_NM, tile_blocks=0)
 
@@ -144,17 +149,6 @@ class TestWindowEquivalence:
         np.testing.assert_allclose(
             got, per_clip_tensors(layout, windows), atol=1e-5
         )
-
-    def test_parallel_workers_match_serial(self):
-        layout = make_test_layout(seed=8)
-        windows = tuple(iter_clip_windows(layout.region, CLIP_NM, CLIP_NM // 2))
-        serial = SlidingFeatureExtractor(
-            CONFIG, clip_nm=CLIP_NM, tile_blocks=2, workers=1
-        ).extract_windows(layout, windows)
-        parallel = SlidingFeatureExtractor(
-            CONFIG, clip_nm=CLIP_NM, tile_blocks=2, workers=2
-        ).extract_windows(layout, windows)
-        np.testing.assert_array_equal(serial, parallel)
 
     def test_iter_batches_streams_contiguous_indices(self):
         layout = make_test_layout(seed=9)

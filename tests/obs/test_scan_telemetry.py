@@ -1,4 +1,4 @@
-"""Integration: full-chip scan telemetry and worker metric aggregation.
+"""Integration: full-chip scan telemetry and shard metric aggregation.
 
 A stub tensor-capable detector keeps these fast — the subject under test
 is the instrumentation, not the CNN.
@@ -7,12 +7,12 @@ is the instrumentation, not the CNN.
 import numpy as np
 import pytest
 
-from repro.core.fullchip import FullChipScanner
 from repro.features.sliding import SlidingFeatureExtractor
 from repro.features.tensor import FeatureTensorConfig, FeatureTensorExtractor
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.obs.report import last_metrics_snapshot, summarize_spans
+from repro.scanfarm import ScanFarm
 
 CLIP_NM = 240
 CONFIG = FeatureTensorConfig(block_count=4, coefficients=8, pixel_nm=2)
@@ -44,11 +44,25 @@ class StubTensorDetector:
         return np.tile([0.4, 0.6], (tensors.shape[0], 1))
 
 
+class StubClipDetector:
+    """Dataset-only detector stub: scored clip by clip."""
+
+    def predict_proba(self, dataset):
+        return np.tile([0.4, 0.6], (len(dataset.clips), 1))
+
+
+def make_farm(detector=None, **kwargs):
+    return ScanFarm(
+        detector or StubTensorDetector(),
+        clip_nm=CLIP_NM,
+        stride_nm=CLIP_NM // 2,
+        **kwargs,
+    )
+
+
 @pytest.fixture
 def scanner():
-    return FullChipScanner(
-        StubTensorDetector(), clip_nm=CLIP_NM, stride_nm=CLIP_NM // 2
-    )
+    return make_farm()
 
 
 class TestScanTelemetry:
@@ -58,22 +72,23 @@ class TestScanTelemetry:
         scanner.scan(make_test_layout())
         stages = summarize_spans(captured_events.events)
         for stage in (
-            "scan",
-            "scan/scan.grid",
-            "scan/scan.inference",
-            "scan/scan.merge",
+            "farm.fingerprint",
+            "farm.scan",
+            "farm.scan/farm.shard/scan.grid",
+            "farm.scan/farm.shard/scan.inference",
+            "farm.scan/scan.merge",
         ):
             assert stage in stages, stages.keys()
-        assert stages["scan"]["count"] == 1
+        assert stages["farm.scan"]["count"] == 1
 
     def test_scan_complete_and_snapshot_events(
         self, scanner, captured_events, fresh_registry
     ):
         result = scanner.scan(make_test_layout())
         names = captured_events.names()
-        assert "scan.complete" in names
+        assert "farm.scan.complete" in names
         complete = next(
-            e for e in captured_events.events if e.name == "scan.complete"
+            e for e in captured_events.events if e.name == "farm.scan.complete"
         )
         assert complete.attrs["windows"] == result.window_count
         assert complete.attrs["windows_per_second"] > 0
@@ -81,28 +96,20 @@ class TestScanTelemetry:
         assert snapshot is not None
         assert snapshot["counters"]["scan.windows"] == result.window_count
         assert snapshot["gauges"]["scan.windows_per_second"] > 0
-        # Worker-stage histograms made it into the snapshot.
+        # Tile-stage histograms made it into the snapshot.
         assert snapshot["histograms"]["scan.raster.seconds"]["count"] > 0
         assert snapshot["histograms"]["scan.dct.seconds"]["count"] > 0
 
     def test_per_clip_pipeline_spans(self, captured_events, fresh_registry):
-        scanner = FullChipScanner(
-            StubTensorDetector(),
-            clip_nm=CLIP_NM,
-            stride_nm=CLIP_NM // 2,
-            pipeline="per_clip",
-        )
-        scanner.scan(make_test_layout())
+        make_farm(StubClipDetector()).scan(make_test_layout())
         stages = summarize_spans(captured_events.events)
-        assert "scan/scan.extract" in stages
-        assert "scan/scan.inference" in stages
-        assert "scan/scan.grid" not in stages
+        assert "farm.scan/farm.shard/scan.extract" in stages
+        assert "farm.scan/farm.shard/scan.inference" in stages
+        assert not any(path.endswith("scan.grid") for path in stages)
 
     def test_unobserved_scan_still_works(self, fresh_bus, fresh_registry):
         # No sinks attached: telemetry must be inert, not required.
-        result = FullChipScanner(
-            StubTensorDetector(), clip_nm=CLIP_NM, stride_nm=CLIP_NM // 2
-        ).scan(make_test_layout())
+        result = make_farm().scan(make_test_layout())
         assert result.window_count > 0
 
 
@@ -111,11 +118,9 @@ class TestWorkerAggregation:
     def test_tile_metrics_reach_parent_registry(
         self, workers, captured_events, fresh_registry
     ):
-        layout = make_test_layout()
-        sliding = SlidingFeatureExtractor(
-            CONFIG, clip_nm=CLIP_NM, tile_blocks=2, workers=workers
-        )
-        sliding.coefficient_grid(layout)
+        # With workers=2 the tiles are encoded in pool processes; their
+        # stage timings must still land in this process's registry.
+        make_farm(workers=workers, tile_blocks=2).scan(make_test_layout())
         raster = fresh_registry.histogram("scan.raster.seconds")
         dct = fresh_registry.histogram("scan.dct.seconds")
         tiles = fresh_registry.counter("scan.tiles").value
@@ -133,12 +138,20 @@ class TestWorkerAggregation:
             registry = MetricsRegistry()
             previous = set_registry(registry)
             try:
-                SlidingFeatureExtractor(
-                    CONFIG, clip_nm=CLIP_NM, tile_blocks=2, workers=workers
-                ).coefficient_grid(layout)
+                make_farm(workers=workers, tile_blocks=2).scan(layout)
             finally:
                 set_registry(previous)
-            counts[workers] = registry.counter("scan.tiles").value
+            shard_windows = sum(
+                registry.counter(
+                    "farm.shard.windows", labels={"shard": str(shard)}
+                ).value
+                for shard in range(registry.counter("farm.shards").value)
+            )
+            counts[workers] = (
+                registry.counter("scan.windows").value,
+                registry.counter("farm.windows_deduped").value,
+                shard_windows,
+            )
         assert counts[1] == counts[2]
 
     def test_fallback_windows_counted(self, captured_events, fresh_registry):

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
-from repro.core.fullchip import FullChipScanner
 from repro.data.fullchip import FullChipSpec, make_layout
 from repro.exceptions import ScanCacheError
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.scanfarm import ScanCache, ScanFarm
-from repro.testing import TensorProbeDetector, scan_results_equal
+from repro.testing import (
+    TensorProbeDetector,
+    reference_scan,
+    scan_results_equal,
+)
 
 
 class TestScanCache:
@@ -42,6 +45,21 @@ class TestScanCache:
         reopened = ScanCache(tmp_path / "c")
         assert len(reopened) == 1
         assert reopened.get("x" * 64) == 0.25
+
+    def test_file_format_is_stable(self, tmp_path):
+        # Caches already on disk must keep loading: the bytes of an
+        # entry are pinned.
+        cache = ScanCache(tmp_path / "c")
+        cache.update({"ab": 0.1 + 0.2})
+        assert cache.data_path.read_bytes() == (
+            b'{"kind": "entry", "fp": "ab", "p": 0.30000000000000004}\n'
+        )
+        with open(cache.data_path, "ab") as handle:
+            handle.write(b'{"kind": "entry", "fp": "cd", "p": 0.5}\n')
+        assert ScanCache(tmp_path / "c").lookup(["ab", "cd"]) == {
+            "ab": 0.1 + 0.2,
+            "cd": 0.5,
+        }
 
     def test_schema_mismatch_raises(self, tmp_path):
         cache = ScanCache(tmp_path / "c")
@@ -91,9 +109,8 @@ class TestIncrementalRescan:
             fresh_registry.counter("farm.cache_hits").value
             == cold.window_count
         )
-        # And equals a plain serial scan, cache or no cache.
-        serial = FullChipScanner(detector).scan(layout)
-        assert scan_results_equal(serial, warm)
+        # And equals a reference scan that reuses nothing.
+        assert scan_results_equal(reference_scan(detector, layout), warm)
 
     def test_warm_scan_survives_farm_restart(self, tmp_path):
         detector = TensorProbeDetector()
@@ -120,9 +137,8 @@ class TestIncrementalRescan:
         hits = fresh_registry.counter("farm.cache_hits").value - before
         rescanned = result.window_count - hits
         assert rescanned / result.window_count < 0.20
-        # The warm incremental result still equals a cold serial scan.
-        serial = FullChipScanner(detector).scan(edited)
-        assert scan_results_equal(serial, result)
+        # The warm incremental result still equals a cold reference scan.
+        assert scan_results_equal(reference_scan(detector, edited), result)
 
     def test_model_change_misses_cache(self, tmp_path, fresh_registry):
         layout = chip()

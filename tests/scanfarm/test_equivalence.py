@@ -1,11 +1,13 @@
-"""Farm scan == serial scan, exactly.
+"""Farm scan == reference scan, exactly, at any worker count.
 
 The probe detectors score each window independently of batch
 composition, so every equality here is bitwise — probabilities, flagged
-indices, regions — not approximate. The hypothesis property sweeps the
-knobs that change *how* the farm decomposes the scan (worker count,
-shard oversubscription, stride, chip content) precisely because none of
-them may change *what* it computes.
+indices, regions — not approximate. The reference scans
+(:func:`repro.testing.reference_scan`) score every window with nothing
+reused: from slices of one whole-chip grid, or clip by clip. The
+hypothesis property sweeps the knobs that change *how* the farm
+decomposes the scan (worker count, shard oversubscription, stride, chip
+content) precisely because none of them may change *what* it computes.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fullchip import FullChipScanner
 from repro.data.fullchip import FullChipSpec, make_layout
 from repro.features.sliding import SlidingFeatureExtractor
 from repro.features.tensor import FeatureTensorConfig
@@ -22,6 +23,8 @@ from repro.scanfarm import ScanFarm
 from repro.testing import (
     DensityProbeDetector,
     TensorProbeDetector,
+    reference_scan,
+    scan_results_close,
     scan_results_equal,
 )
 
@@ -46,7 +49,7 @@ class TestFarmEqualsSerial:
     @settings(max_examples=10, deadline=None)
     @given(
         stride=st.sampled_from([400, 500, 600, 1200]),
-        workers=st.integers(1, 2),
+        workers=st.integers(2, 3),
         shards_per_worker=st.integers(1, 3),
         seed=st.integers(0, 3),
     )
@@ -55,45 +58,52 @@ class TestFarmEqualsSerial:
     ):
         layout = make_chip(seed=seed)
         detector = TensorProbeDetector()
-        serial = FullChipScanner(
-            detector, stride_nm=stride, pipeline="shared"
-        ).scan(layout, batch_size=7)
-        farm = ScanFarm(
+        single = ScanFarm(detector, stride_nm=stride).scan(
+            layout, batch_size=7
+        )
+        parallel = ScanFarm(
             detector,
             stride_nm=stride,
-            pipeline="shared",
             workers=workers,
             shards_per_worker=shards_per_worker,
         ).scan(layout, batch_size=7)
-        assert scan_results_equal(serial, farm)
+        reference = reference_scan(detector, layout, stride_nm=stride)
+        assert scan_results_equal(single, reference)
+        assert scan_results_equal(parallel, reference)
+        assert scan_results_close(
+            single,
+            reference_scan(detector, layout, per_clip=True, stride_nm=stride),
+        )
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_per_clip_pipeline_bitwise(self, workers):
         layout = make_chip(seed=1)
         detector = DensityProbeDetector()
-        serial = FullChipScanner(detector, pipeline="per_clip").scan(
-            layout, batch_size=5
-        )
-        farm = ScanFarm(
-            detector, pipeline="per_clip", workers=workers
-        ).scan(layout, batch_size=5)
-        assert scan_results_equal(serial, farm)
+        farm = ScanFarm(detector, workers=workers).scan(layout, batch_size=5)
+        reference = reference_scan(detector, layout, per_clip=True)
+        assert scan_results_equal(farm, reference)
 
     def test_auto_resolves_like_serial(self):
+        # The scoring path follows from the detector alone.
         layout = make_chip(seed=2)
-        for detector in (TensorProbeDetector(), DensityProbeDetector()):
-            serial = FullChipScanner(detector).scan(layout)
-            farm = ScanFarm(detector, workers=2).scan(layout)
-            assert scan_results_equal(serial, farm)
+        for detector, per_clip in (
+            (TensorProbeDetector(), False),
+            (DensityProbeDetector(), True),
+        ):
+            reference = reference_scan(detector, layout, per_clip=per_clip)
+            for workers in (1, 2):
+                farm = ScanFarm(detector, workers=workers).scan(layout)
+                assert scan_results_equal(farm, reference)
 
     def test_dedup_replication_is_exact(self, fresh_registry):
         # Array macros repeat whole tiles, so the farm scans a strict
         # subset of the windows and replicates the rest — bitwise.
         layout = make_chip(seed=3, tiles=4, array_fraction=0.6)
         detector = TensorProbeDetector()
-        serial = FullChipScanner(detector, pipeline="shared").scan(layout)
-        farm = ScanFarm(detector, pipeline="shared", workers=2).scan(layout)
-        assert scan_results_equal(serial, farm)
+        reference = reference_scan(detector, layout)
+        for workers in (1, 2):
+            farm = ScanFarm(detector, workers=workers).scan(layout)
+            assert scan_results_equal(farm, reference)
         assert fresh_registry.counter("farm.windows_deduped").value > 0
 
     def test_single_worker_spins_no_pool(self, captured_events):
@@ -102,6 +112,31 @@ class TestFarmEqualsSerial:
         names = {e.name for e in captured_events.events}
         assert "farm.worker_dead" not in names
         assert "farm.degraded" not in names
+
+    def test_single_worker_encodes_each_tile_once(self, fresh_registry):
+        # The point of the shared grid: however many windows overlap a
+        # tile (here every 800 nm tile sits under up to nine 1200 nm
+        # windows), a single-process scan rasterises and encodes it at
+        # most once.
+        layout = make_chip(seed=5)
+        ScanFarm(TensorProbeDetector(), tile_blocks=4).scan(layout)
+        tile_nm = 4 * 200
+        region = layout.region
+        non_empty = sum(
+            1
+            for y in range(region.y_lo, region.y_hi, tile_nm)
+            for x in range(region.x_lo, region.x_hi, tile_nm)
+            if layout.query(
+                Rect(
+                    x,
+                    y,
+                    min(x + tile_nm, region.x_hi),
+                    min(y + tile_nm, region.y_hi),
+                )
+            )
+        )
+        encoded = fresh_registry.counter("scan.tiles").value
+        assert 0 < encoded <= non_empty
 
 
 class TestShardGridIdentity:

@@ -1,10 +1,11 @@
 """Farm fault injection: dead shard workers, killed scans, bad resumes.
 
-Same conventions as the serial-scan fault suite: probe detectors make
-every recovered-vs-clean comparison bitwise, and ``CrashingWorker``
-delivers real SIGKILLs that no ``try/except`` can fake.
+Probe detectors make every recovered-vs-clean comparison bitwise, and
+``CrashingWorker`` delivers real SIGKILLs that no ``try/except`` can
+fake.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -12,17 +13,19 @@ import time
 
 import pytest
 
-from repro.core.fullchip import FullChipScanner
+from repro.core.fullchip import ScanJournal, scan_journal_header
 from repro.data.fullchip import FullChipSpec, make_layout
 from repro.exceptions import ScanJournalError, TrainingError
-from repro.features.sliding import bind_worker_to_parent
+from repro.geometry.layout import iter_clip_windows
 from repro.scanfarm import ScanFarm
+from repro.scanfarm.farm import bind_worker_to_parent
 from repro.testing import (
     CrashingWorker,
     InjectedFault,
     TensorProbeDetector,
     fail_on_calls,
     install_fault,
+    reference_scan,
     scan_results_equal,
 )
 
@@ -89,10 +92,11 @@ class TestShardWorkerDeath:
     ):
         # Every pool worker SIGKILLs itself on shard 0; after the
         # respawn budget the remaining shards run in-process (where
-        # kill-worker is inert) and the result is still bitwise serial.
+        # kill-worker is inert) and the result is still bitwise the
+        # reference scan's.
         monkeypatch.setenv("REPRO_FAULTS", "farm.shard:0=kill-worker")
         result = make_farm(workers=2, shards_per_worker=2).scan(make_chip())
-        clean = FullChipScanner(TensorProbeDetector()).scan(make_chip())
+        clean = reference_scan(TensorProbeDetector(), make_chip())
         assert scan_results_equal(clean, result)
         assert fresh_registry.counter("farm.worker_deaths").value >= 1
         names = {e.name for e in captured_events.events}
@@ -102,11 +106,12 @@ class TestShardWorkerDeath:
 
 class TestFarmScanResume:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sigkill_mid_scan_resume_is_bitwise(self, tmp_path, workers):
+    def test_sigkill_mid_scan_resume_is_bitwise(
+        self, tmp_path, fresh_registry, workers
+    ):
         journal = str(tmp_path / "farm.jsonl")
-        # Kill after the first consumed shard (workers=1 plans a single
-        # shard, so a later batch index would never fire): the journal
-        # holds that shard's windows and resume must finish the rest.
+        # Kill right after the first landed record: one scored batch of
+        # the in-process shard, or one whole shard from the pool.
         worker = CrashingWorker(
             _journaled_farm_scan,
             args=(journal, workers),
@@ -117,8 +122,25 @@ class TestFarmScanResume:
         resumed = make_farm(workers=workers).scan(
             make_chip(), batch_size=5, journal=journal, resume=True
         )
+        resumed_windows = fresh_registry.counter("scan.windows_resumed").value
+        if workers == 1:
+            assert resumed_windows == 5  # exactly the first batch
+        else:
+            assert resumed_windows > 0
         clean = make_farm(workers=workers).scan(make_chip(), batch_size=5)
         assert scan_results_equal(clean, resumed)
+
+    def test_single_process_journal_lands_every_batch(self, tmp_path):
+        # In-process batches are journaled as they are scored, not when
+        # the whole shard returns: no record is larger than a batch.
+        journal = tmp_path / "farm.jsonl"
+        result = make_farm().scan(make_chip(), batch_size=5, journal=journal)
+        with open(journal, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle][1:]
+        assert len(records) > 2
+        assert all(len(r["indices"]) <= 5 for r in records)
+        journaled = sorted(i for r in records for i in r["indices"])
+        assert journaled == list(range(result.window_count))
 
     def test_inprocess_crash_resume_is_bitwise(self, tmp_path, fresh_registry):
         journal = str(tmp_path / "farm.jsonl")
@@ -156,13 +178,24 @@ class TestFarmScanResume:
 
 class TestFarmJournalHeader:
     def test_serial_journal_rejected_by_farm(self, tmp_path):
-        # A serial scanner's journal must not resume a farm scan (and
-        # vice versa): the header pipelines differ.
-        journal = str(tmp_path / "scan.jsonl")
+        # A journal left by the retired serial scanner (its header has
+        # no farm identity) must not resume a farm scan.
+        journal = tmp_path / "scan.jsonl"
         layout = make_chip()
-        FullChipScanner(TensorProbeDetector()).scan(
-            layout, batch_size=5, journal=journal
+        windows = tuple(iter_clip_windows(layout.region, 1200, 600))
+        serial = ScanJournal(journal)
+        serial.start(
+            scan_journal_header(
+                layout,
+                len(windows),
+                clip_nm=1200,
+                stride_nm=600,
+                threshold=0.5,
+                pipeline="shared",
+            )
         )
+        serial.record([0, 1], [0.25, 0.75])
+        serial.close()
         with pytest.raises(ScanJournalError):
             make_farm().scan(layout, journal=journal, resume=True)
 

@@ -13,14 +13,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.fullchip import FullChipScanner
 from repro.data.fullchip import FullChipSpec, make_layout
 from repro.geometry import Rect
 from repro.obs.drift import DriftConfig, DriftMonitor, ReferenceProfile
 from repro.scanfarm import ScanFarm
 from repro.scanfarm.farm import _read_spill, _spill_path, _write_spill
 from repro.scanfarm.sharding import RegionShard
-from repro.testing import TensorProbeDetector, scan_results_equal
+from repro.testing import (
+    TensorProbeDetector,
+    reference_scan,
+    scan_results_equal,
+)
 
 
 def make_chip():
@@ -159,7 +162,7 @@ class TestLostShardAccounting:
     ):
         monkeypatch.setenv("REPRO_FAULTS", "farm.shard:0=kill-worker")
         result = make_farm(workers=2, shards_per_worker=2).scan(make_chip())
-        clean = FullChipScanner(TensorProbeDetector()).scan(make_chip())
+        clean = reference_scan(TensorProbeDetector(), make_chip())
         assert scan_results_equal(clean, result)
         lost = [e for e in captured_events.events if e.name == "scan.shard.lost"]
         assert lost, "a killed shard worker must report its lost shards"

@@ -111,6 +111,33 @@ class TestTrainEvaluate:
         out = capsys.readouterr().out
         assert "windows scanned" in out
 
+        from repro.obs import load_run_log
+
+        def scan(name, *flags):
+            log = tmp_path / f"{name}.jsonl"
+            assert main(["--log-json", str(log), "scan", str(model),
+                         "--tiles", "2", "--seed", "5", *flags]) == 0
+            regions = [line for line in capsys.readouterr().out.splitlines()
+                       if line.strip().startswith("region")]
+            events = {e.name: e.attrs for e in load_run_log(log)}
+            return regions, events
+
+        journal = str(tmp_path / "scan.jsonl")
+        regions, _ = scan("journaled", "--journal", journal)
+        resumed, events = scan("resumed", "--journal", journal, "--resume")
+        complete = events["farm.scan.complete"]
+        assert events["scan.journal.resume"]["completed"] == complete["windows"]
+        assert complete["scanned"] == 0
+        assert resumed == regions
+
+        cache = str(tmp_path / "cache")
+        scan("cold", "--cache-dir", cache)
+        warm, events = scan("warm", "--cache-dir", cache)
+        complete = events["farm.scan.complete"]
+        assert complete["scanned"] == 0
+        assert complete["resumed_or_cached"] == complete["windows"]
+        assert warm == regions
+
 
 class TestActive:
     def test_active_model_round_trips_through_evaluate(self, tmp_path, capsys):
