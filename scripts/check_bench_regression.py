@@ -16,12 +16,11 @@ tolerance band:
 
 ``--schema-only`` skips the numeric comparison and just validates that
 every artifact parses, carries the ``experiment``/``metadata``/
-``results`` envelope, and (for ``BENCH_serve.json`` /
-``BENCH_kernels.json`` / ``BENCH_active.json``) has the batching sweep,
-tracing-overhead and quantized-serving sections / the quantized
-inference section / the label-budget curves. CI runs this mode: absolute
-numbers are machine-dependent, but a benchmark that silently stops
-writing a section is a regression on any machine.
+``results`` envelope, and (for ``BENCH_kernels.json`` /
+``BENCH_active.json``) has the quantized inference section / the
+label-budget curves. CI runs this mode: absolute numbers are
+machine-dependent, but a benchmark that silently stops writing a section
+is a regression on any machine.
 
 Exit codes: 0 clean, 1 regression or schema violation, 2 usage error.
 """
@@ -43,52 +42,6 @@ DEFAULT_TOLERANCE = 0.25
 
 _HIGHER_IS_BETTER = ("per_second", "_rps", "throughput", "ops")
 _LOWER_IS_BETTER = ("latency", "seconds")
-
-#: Required keys per ``BENCH_serve.json`` sweep entry / tracing section.
-SERVE_CONFIG_KEYS = (
-    "max_batch",
-    "max_wait_ms",
-    "requests",
-    "seconds",
-    "requests_per_second",
-    "p95_latency_s",
-    "mean_batch_size",
-)
-SERVE_TRACING_KEYS = (
-    "ids_on_rps",
-    "ids_off_rps",
-    "overhead_fraction",
-    "p95_on_s",
-    "p95_off_s",
-)
-#: Required keys in the ``fleet`` section / each replica-sweep entry.
-SERVE_FLEET_KEYS = (
-    "cpu_count",
-    "single_process_rps",
-    "replicas_sweep",
-)
-SERVE_FLEET_SWEEP_KEYS = (
-    "replicas",
-    "requests",
-    "seconds",
-    "requests_per_second",
-    "p95_latency_s",
-    "speedup_vs_single_process",
-)
-#: Required keys in the quantized-serving comparison section.
-SERVE_QUANT_KEYS = (
-    "replicas",
-    "windows_per_request",
-    "float32_rps",
-    "int8_rps",
-    "speedup_int8_vs_float32",
-    "segment_bytes_float64",
-    "segment_bytes_int8",
-    "payload_shrink",
-    "attach_seconds_int8",
-    "parity_flag_jaccard",
-    "parity_max_prob_delta",
-)
 
 #: Required keys in the ``BENCH_kernels.json`` quantized-inference section.
 KERNELS_QUANT_KEYS = (
@@ -195,7 +148,7 @@ def compare_documents(
 
 
 def check_schema(path: Path, document: dict) -> List[str]:
-    """Envelope (and serve-specific) schema violations for one artifact."""
+    """Envelope (and per-artifact) schema violations for one artifact."""
     problems: List[str] = []
     for key in ("experiment", "metadata", "results"):
         if key not in document:
@@ -204,45 +157,6 @@ def check_schema(path: Path, document: dict) -> List[str]:
         return problems
     if not any(numeric_leaves(document["results"])):
         problems.append("results contain no numeric metrics")
-    if path.name == "BENCH_serve.json":
-        results = document["results"]
-        configs = results.get("configs")
-        if not isinstance(configs, list) or not configs:
-            problems.append("serve results missing 'configs' sweep")
-        else:
-            for key in SERVE_CONFIG_KEYS:
-                if any(key not in entry for entry in configs):
-                    problems.append(f"serve config entries missing {key!r}")
-        tracing = results.get("tracing")
-        if not isinstance(tracing, dict):
-            problems.append("serve results missing 'tracing' section")
-        else:
-            for key in SERVE_TRACING_KEYS:
-                if key not in tracing:
-                    problems.append(f"serve tracing section missing {key!r}")
-        fleet = results.get("fleet")
-        if not isinstance(fleet, dict):
-            problems.append("serve results missing 'fleet' section")
-        else:
-            for key in SERVE_FLEET_KEYS:
-                if key not in fleet:
-                    problems.append(f"serve fleet section missing {key!r}")
-            sweep = fleet.get("replicas_sweep")
-            if not isinstance(sweep, list) or not sweep:
-                problems.append("serve fleet missing 'replicas_sweep' entries")
-            else:
-                for key in SERVE_FLEET_SWEEP_KEYS:
-                    if any(key not in entry for entry in sweep):
-                        problems.append(
-                            f"serve fleet sweep entries missing {key!r}"
-                        )
-        quant = results.get("quant")
-        if not isinstance(quant, dict):
-            problems.append("serve results missing 'quant' section")
-        else:
-            for key in SERVE_QUANT_KEYS:
-                if key not in quant:
-                    problems.append(f"serve quant section missing {key!r}")
     if path.name == "BENCH_kernels.json":
         quant = document["results"].get("quant")
         if not isinstance(quant, dict):

@@ -11,11 +11,6 @@ float64 path), and drives the gate end to end:
   bitwise-identically to the in-process int8 path;
 - a checkpoint published *without* quantization must be refused at any
   quantized precision (ParityError), and still load fine at float64;
-- the shared-memory int8 payload must round-trip bitwise: a replica
-  attached to the segment scores exactly like the publisher, and the
-  segment is ~4x+ smaller than the float64 one;
-- a 2-replica int8 fleet must serve probabilities bitwise-equal to
-  local int8 scoring;
 - the float64 path must be bitwise-unchanged by all of the above.
 
 Any failed check exits non-zero.
@@ -37,9 +32,9 @@ from repro.exceptions import ParityError
 from repro.features.tensor import FeatureTensorConfig
 from repro.litho.oracle import OracleConfig
 from repro.litho.optics import OpticsConfig
+from repro.nn.serialize import read_checkpoint
 from repro.nn.trainer import TrainerConfig
-from repro.serve import FleetConfig, FleetEngine, ModelRegistry
-from repro.serve.shm import SharedModel
+from repro.serve import ModelRegistry
 
 
 def check(condition, message):
@@ -98,7 +93,7 @@ def main():
         registry.publish(detector, "v-plain")
 
         # Stored parity reports clear the acceptance tolerances.
-        state = registry.read_state("v-quant")
+        state = read_checkpoint(registry.path_for("v-quant"))
         for precision in ("float32", "float16", "int8"):
             report = state["quant"]["parity"][precision]
             check(report["passed"], f"{precision} parity report passed")
@@ -141,47 +136,6 @@ def main():
                 plain.detector.predict_proba_tensors(tensors), probs64_before
             ),
             "unquantized checkpoint serves float64 bitwise",
-        )
-
-        # Shared-memory int8 round trip: replica == publisher, payload small.
-        seg64 = SharedModel.publish(state, "v-quant")
-        seg8 = SharedModel.publish(state, "v-quant", precision="int8")
-        try:
-            check(
-                seg8.nbytes * 4 < seg64.nbytes,
-                f"int8 segment {seg8.nbytes}B is 4x+ smaller than "
-                f"float64 {seg64.nbytes}B",
-            )
-            attached = SharedModel.attach(seg8.name)
-            try:
-                replica = attached.detector()
-                check(
-                    np.array_equal(
-                        replica.predict_proba_tensors(tensors), local_int8
-                    ),
-                    "shm replica int8 scoring bitwise-equal to publisher",
-                )
-                del replica
-            finally:
-                attached.close()
-        finally:
-            seg8.close()
-            seg8.unlink()
-            seg64.close()
-            seg64.unlink()
-
-        # A 2-replica int8 fleet serves the same bits.
-        fleet = FleetEngine(
-            ModelRegistry(Path(tmp) / "registry"),
-            FleetConfig(replicas=2, infer_precision="int8"),
-        )
-        try:
-            served = fleet.predict(tensors, timeout=120)
-        finally:
-            fleet.close()
-        check(
-            np.array_equal(np.asarray(served), local_int8),
-            "2-replica int8 fleet bitwise-equal to local int8",
         )
 
     # All of the above left the default float64 path untouched.

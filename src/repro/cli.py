@@ -288,23 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=256,
                        help="pending-request cap before 503 backpressure")
     serve.add_argument("--workers", type=int, default=1,
-                       help="inference worker threads (single-process mode)")
-    serve.add_argument("--replicas", type=int, default=0, metavar="N",
-                       help="serve from a fleet of N worker processes with "
-                            "shared-memory weights (0 = single-process "
-                            "in-thread engine)")
-    serve.add_argument("--canary", default=None, metavar="VERSION:FRACTION",
-                       help="route FRACTION of request keys to VERSION "
-                            "(requires --replicas)")
-    serve.add_argument("--shadow", default=None, metavar="VERSION",
-                       help="shadow-score every stable request on VERSION "
-                            "without serving it (requires --replicas)")
-    serve.add_argument("--tenant-rps", action="append", default=[],
-                       metavar="[TENANT=]RPS[:BURST]",
-                       help="token-bucket admission: requests/second (and "
-                            "optional burst) per tenant; omit TENANT= to set "
-                            "the default for all tenants; repeatable "
-                            "(requires --replicas)")
+                       help="inference worker threads")
     serve.add_argument("--slo-latency-ms", type=float, default=250.0,
                        metavar="MS",
                        help="predict-latency SLO threshold (99%% of "
@@ -697,35 +681,8 @@ def _cmd_active(args) -> int:
     return 0
 
 
-def _parse_tenant_rps(specs):
-    """``[TENANT=]RPS[:BURST]`` flags → (default_rate, per_tenant dict)."""
-    from repro.serve import TenantRate
-
-    default_rate = None
-    per_tenant = {}
-    for spec in specs:
-        tenant, _, rate_part = spec.rpartition("=")
-        rps, _, burst = rate_part.partition(":")
-        try:
-            rate = TenantRate(float(rps), float(burst) if burst else 1.0)
-        except ValueError as exc:
-            raise SystemExit(f"bad --tenant-rps {spec!r}: {exc}")
-        if tenant:
-            per_tenant[tenant] = rate
-        else:
-            default_rate = rate
-    return default_rate, per_tenant
-
-
 def _cmd_serve(args) -> int:
     from repro.serve import EngineConfig, InferenceEngine, ModelRegistry, make_server
-
-    if args.replicas < 0:
-        raise SystemExit(f"--replicas must be >= 0, got {args.replicas}")
-    if args.replicas == 0 and (args.canary or args.shadow or args.tenant_rps):
-        raise SystemExit(
-            "--canary/--shadow/--tenant-rps require fleet mode (--replicas N)"
-        )
 
     registry = ModelRegistry(
         args.checkpoint_dir,
@@ -748,23 +705,18 @@ def _cmd_serve(args) -> int:
             availability_target=args.slo_availability,
         )
     )
-    if args.replicas > 0:
-        engine = _make_fleet_engine(args, registry, loaded.version, slo)
-    else:
-        engine = InferenceEngine(
-            registry,
-            EngineConfig(
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                max_queue=args.max_queue,
-                workers=args.workers,
-            ),
-            slo=slo,
-        )
+    engine = InferenceEngine(
+        registry,
+        EngineConfig(
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue=args.max_queue,
+            workers=args.workers,
+        ),
+        slo=slo,
+    )
     server = make_server(engine, registry, host=args.host, port=args.port)
     _say(f"listening on http://{args.host}:{server.port}")
-    if args.replicas > 0:
-        _say(f"fleet: {args.replicas} replicas, routing {engine.router.describe()}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -774,50 +726,6 @@ def _cmd_serve(args) -> int:
         server.server_close()
         engine.close(drain=True)
     return 0
-
-
-def _make_fleet_engine(args, registry, initial_version, slo):
-    from repro.serve import (
-        AdmissionController,
-        FleetConfig,
-        FleetEngine,
-        Router,
-    )
-
-    default_rate, per_tenant = _parse_tenant_rps(args.tenant_rps)
-    router = Router(AdmissionController(default_rate, per_tenant))
-    engine = FleetEngine(
-        registry,
-        FleetConfig(
-            replicas=args.replicas,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            infer_precision=args.infer_precision or "float64",
-        ),
-        router=router,
-        slo=slo,
-        version=initial_version,
-    )
-    try:
-        if args.canary:
-            version, sep, fraction = args.canary.rpartition(":")
-            if not sep or not version:
-                raise SystemExit(
-                    f"bad --canary {args.canary!r}: expected VERSION:FRACTION"
-                )
-            try:
-                engine.set_canary(version, float(fraction))
-            except ValueError:
-                raise SystemExit(
-                    f"bad --canary fraction {fraction!r}: expected a float"
-                )
-        if args.shadow:
-            engine.set_shadow(args.shadow)
-    except BaseException:
-        engine.close(drain=False)
-        raise
-    return engine
 
 
 def _cmd_obs(args) -> int:

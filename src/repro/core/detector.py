@@ -291,7 +291,7 @@ class HotspotDetector:
         """Probabilities straight from raw ``(N, n, n, k)`` feature tensors.
 
         The tensor-level inference path used by the full-chip scanner
-        and the serving fleet: tensors assembled elsewhere (e.g. sliced
+        and the serving engine: tensors assembled elsewhere (e.g. sliced
         from a shared scan grid) skip clip/dataset construction
         entirely. Standardisation uses the fitted training statistics,
         exactly as :meth:`predict_proba`. ``precision`` overrides the

@@ -6,9 +6,10 @@ path on a representative sample: the ROC-AUC may not move by more than
 a hair and the set of flagged windows must be nearly identical. The
 gate is evaluated at publish time (:meth:`ModelRegistry.publish` stores
 one :class:`ParityReport` per quantized precision inside the
-checkpoint) and *enforced* at activation time — loading a registry or
-fleet with ``infer_precision="int8"`` refuses any version whose stored
-int8 report is missing or failed (:class:`~repro.exceptions.ParityError`).
+checkpoint) and *enforced* at activation time — loading a version
+through a registry with ``infer_precision="int8"`` refuses any version
+whose stored int8 report is missing or failed
+(:class:`~repro.exceptions.ParityError`).
 
 Every evaluation emits a ``quant.parity`` event on the process event
 bus, so parity drift is visible in the same JSONL/metrics pipeline as

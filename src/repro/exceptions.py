@@ -101,26 +101,6 @@ class QueueFullError(ServeError):
     """Engine request queue at capacity — backpressure, retry later (503)."""
 
 
-class RateLimitedError(ServeError):
-    """Tenant exceeded its admission rate — retry after a delay (429).
-
-    Distinct from :class:`QueueFullError`: a throttle protects *other*
-    tenants from one noisy caller (per-tenant token bucket), while queue
-    saturation means the whole fleet is out of capacity. The HTTP layer
-    maps this to 429 with a ``Retry-After`` header built from
-    :attr:`retry_after`.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0, tenant: str = ""):
-        super().__init__(message)
-        self.retry_after = float(retry_after)
-        self.tenant = tenant
-
-
-class FleetError(ServeError):
-    """Replica-fleet failure (spawn, shared-memory publish, ack timeout)."""
-
-
 class EngineClosedError(ServeError):
     """Request submitted to an engine that is draining or shut down."""
 

@@ -200,9 +200,11 @@ class Sequential:
         self.__dict__.pop("_plans", None)
 
     def __getstate__(self) -> dict:
-        # Plans hold thread-local buffer sets and (for shm-attached
-        # networks) process-local views — recompiled on first use after
-        # unpickling instead of travelling across processes.
+        # Plans hold thread-local buffer sets, so they are recompiled on
+        # first use after unpickling instead of travelling across
+        # processes. The attached int8 payload and calibration are
+        # dropped with them: an unpickled network re-quantizes its
+        # float weights.
         state = self.__dict__.copy()
         state.pop("_plans", None)
         state.pop("_attached_quant", None)

@@ -9,8 +9,8 @@ provides the three pieces of the quantized serving path:
   axis 1 for dense ``(in, out)`` matrices), derived offline. The int8
   payload is ~4x smaller than float32 and deterministic: quantizing a
   dequantized payload reproduces it bitwise, which is what lets the
-  registry checkpoint, the shared-memory segment, and every fleet
-  replica carry literally the same bytes.
+  registry checkpoint and every model loaded from it carry literally
+  the same bytes.
 - **Activation-range calibration**: :class:`MaxObserver` /
   :class:`PercentileObserver` record per-layer activation ranges from a
   representative batch (:func:`calibrate_network`). The float16 plans
@@ -243,7 +243,7 @@ class CalibrationResult:
 
     ``ranges`` maps ``"<index>_<layer-name>"`` keys to the observed
     absolute activation bound after that layer. JSON-safe, so it travels
-    inside checkpoints and shared-memory headers.
+    inside checkpoints.
     """
 
     observer: str
@@ -315,7 +315,7 @@ def calibrate_network(
 
 
 # ----------------------------------------------------------------------
-# Quantized state trees (checkpoint / shared-memory payload)
+# Quantized state trees (checkpoint payload)
 # ----------------------------------------------------------------------
 def quantize_network(network, calibration: Optional[CalibrationResult] = None) -> dict:
     """Quantized state subtree of a trained network.
@@ -383,10 +383,10 @@ def attach_quant_state(network, state: dict) -> None:
     """Bind a stored int8 payload to a network for its int8 plans.
 
     A plan compiled after this uses the attached payload *directly*
-    instead of re-quantizing the float weights — so a replica that
-    attached a shared-memory segment scores with byte-identical int8
-    weights to the publishing checkpoint. Calibration ranges (when the
-    tree carries them) ride along for the float16 overflow guard.
+    instead of re-quantizing the float weights — so a model loaded from
+    a checkpoint scores with byte-identical int8 weights to the
+    publishing one. Calibration ranges (when the tree carries them) ride
+    along for the float16 overflow guard.
     """
     tensors = quant_state_params(state)
     params = network.parameters()
@@ -677,8 +677,9 @@ def _weight_operand(
             )
         return qt.dequantize()
     if precision == "float16":
-        # Round through float32 first: a replica that attached float32
-        # weights from shared memory then compiles the same plan bitwise.
+        # Round through float32 first. Double rounding can differ from
+        # a direct float64 -> float16 cast, and stored parity reports
+        # vouch for the plan as compiled this way.
         return (
             np.asarray(value)
             .astype(np.float32)

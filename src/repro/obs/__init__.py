@@ -84,9 +84,7 @@ from repro.obs.tracing import (
     emit_span,
     format_traceparent,
     parse_traceparent,
-    set_trace_ids,
     span,
-    trace_ids_enabled,
     use_trace,
 )
 
@@ -116,8 +114,6 @@ __all__ = [
     "current_span",
     "current_trace",
     "use_trace",
-    "set_trace_ids",
-    "trace_ids_enabled",
     "format_traceparent",
     "parse_traceparent",
     "OPENMETRICS_CONTENT_TYPE",

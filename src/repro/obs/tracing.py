@@ -30,10 +30,6 @@ Trace identity propagates three ways:
 Spans whose duration was measured elsewhere (the engine's queue wait is
 only known once the batch starts) are emitted retroactively with
 :func:`emit_span` — same event schema, explicit timing.
-
-Id generation costs one ``os.urandom`` call per span; ``set_trace_ids(False)``
-(or ``REPRO_TRACE_IDS=0``) disables it for benchmarking the difference,
-leaving ids empty while keeping every timing behaviour identical.
 """
 
 from __future__ import annotations
@@ -48,9 +44,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
-
-#: Environment variable: set to ``0``/``false``/``off`` to skip id generation.
-TRACE_IDS_ENV = "REPRO_TRACE_IDS"
 
 _TRACEPARENT_RE = re.compile(
     r"^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
@@ -90,27 +83,6 @@ class TraceContext:
 
     trace_id: str
     span_id: str
-
-
-def _ids_enabled_default() -> bool:
-    value = os.environ.get(TRACE_IDS_ENV, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-_ids_enabled = _ids_enabled_default()
-
-
-def set_trace_ids(enabled: bool) -> bool:
-    """Toggle trace-id generation; returns the previous setting."""
-    global _ids_enabled
-    previous = _ids_enabled
-    _ids_enabled = bool(enabled)
-    return previous
-
-
-def trace_ids_enabled() -> bool:
-    """Whether spans are currently assigned trace/span ids."""
-    return _ids_enabled
 
 
 def new_trace_id() -> str:
@@ -234,9 +206,7 @@ def use_trace(context: Optional[TraceContext]) -> Iterator[Optional[TraceContext
 
 
 def _assign_ids(record: SpanRecord, parent: Optional[SpanRecord]) -> None:
-    if not _ids_enabled:
-        return
-    if parent is not None and parent.trace_id:
+    if parent is not None:
         record.trace_id = parent.trace_id
         record.parent_id = parent.span_id
     else:
@@ -250,8 +220,6 @@ def _assign_ids(record: SpanRecord, parent: Optional[SpanRecord]) -> None:
 
 
 def _trace_attrs(record: SpanRecord) -> Dict[str, str]:
-    if not record.trace_id:
-        return {}
     return {
         "trace_id": record.trace_id,
         "span_id": record.span_id,
@@ -331,9 +299,9 @@ def emit_span(
     For stages that are only knowable after the fact — the engine's
     per-request queue wait is measured when the batch starts, long after
     the request's context was left. The synthesized span joins
-    ``parent``'s trace (when given and ids are enabled), lands in the
-    same ``span.<name>.seconds`` histogram, and emits the same ``span``
-    event schema, so reports and trace trees treat it exactly like a
+    ``parent``'s trace (when given), lands in the same
+    ``span.<name>.seconds`` histogram, and emits the same ``span`` event
+    schema, so reports and trace trees treat it exactly like a
     context-manager span. ``observe=False`` skips the histogram for
     callers that already record the duration under their own metric.
     """
@@ -346,13 +314,12 @@ def emit_span(
         duration_s=float(duration_s),
         status=status,
     )
-    if _ids_enabled:
-        if parent is not None:
-            record.trace_id = parent.trace_id
-            record.parent_id = parent.span_id
-        else:
-            record.trace_id = new_trace_id()
-        record.span_id = new_span_id()
+    if parent is not None:
+        record.trace_id = parent.trace_id
+        record.parent_id = parent.span_id
+    else:
+        record.trace_id = new_trace_id()
+    record.span_id = new_span_id()
     if observe:
         target_registry = (
             registry if registry is not None else _metrics.get_registry()

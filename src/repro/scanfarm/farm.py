@@ -123,7 +123,6 @@ def bind_worker_to_parent() -> None:
     inherited fd open — journal files, and pipes whose readers then
     never see EOF. PR_SET_PDEATHSIG bounds worker lifetime strictly by
     the parent's. Linux-only; elsewhere workers stay plain orphans.
-    The serving fleet's replica processes use it too.
     """
     try:
         import ctypes
@@ -444,13 +443,14 @@ class ScanFarm:
         are scored shard by shard. The result lists windows in scan order
         with probabilities aligned.
 
-        Telemetry: ``farm.fingerprint`` and ``farm.scan`` spans, with
+        Telemetry: one ``farm.scan`` span (one trace) with
+        ``farm.fingerprint``, ``farm.journal``, ``farm.cache_read``,
         ``farm.shard`` → ``scan.grid`` / ``scan.extract`` /
-        ``scan.inference`` and ``scan.merge`` nested inside; afterwards
-        the windows-per-second gauge is updated and ``farm.scan.complete``
-        (info) plus a full ``metrics.snapshot`` (debug) are emitted, so a
-        ``--log-json`` run log reconstructs the stage breakdown offline
-        via ``repro-hotspot obs report``.
+        ``scan.inference``, ``scan.merge`` and ``farm.cache_write``
+        nested inside; afterwards the windows-per-second gauge is updated
+        and ``farm.scan.complete`` (info) plus a full ``metrics.snapshot``
+        (debug) are emitted, so a ``--log-json`` run log reconstructs the
+        stage breakdown offline via ``repro-hotspot obs report``.
         """
         if resume and journal is None:
             raise TrainingError("resume=True needs a journal path")
@@ -462,164 +462,173 @@ class ScanFarm:
             iter_clip_windows(layout.region, self.clip_nm, self.stride_nm)
         )
         registry = get_registry()
+        # One scan is one trace tree: every stage below, the journal and
+        # the cache included, nests under this span.
         with span(
-            "farm.fingerprint", windows=len(windows), pipeline=resolved
-        ):
-            salt = scan_salt(
-                clip_nm=self.clip_nm,
-                pipeline=resolved,
-                model_key=self.model_key(),
-                feature=(
-                    self.detector.extractor.config if use_shared else None
-                ),
-            )
-            fingerprints = window_fingerprints(layout, windows, salt)
-
-        scan_journal: Optional[ScanJournal] = None
-        done: Dict[int, float] = {}
-        if journal is not None:
-            scan_journal = ScanJournal(journal)
-            header = self._journal_header(layout, len(windows), resolved)
-            if resume and scan_journal.path.exists():
-                done = scan_journal.resume(header)
-                emit(
-                    "scan.journal.resume",
-                    completed=len(done),
-                    windows=len(windows),
-                    path=str(scan_journal.path),
-                )
-                registry.counter("scan.windows_resumed").inc(len(done))
-            else:
-                scan_journal.start(header)
-
-        #: fingerprint -> probability, from every source of truth we have.
-        known: Dict[str, float] = {
-            fingerprints[i]: p for i, p in done.items()
-        }
-        cache = (
-            ScanCache(self.cache_dir) if self.cache_dir is not None else None
-        )
-        if cache is not None:
-            hits = cache.lookup(fingerprints)
-            cache_hits = 0
-            for i, fp in enumerate(fingerprints):
-                if i not in done and fp in hits:
-                    done[i] = hits[fp]
-                    known.setdefault(fp, hits[fp])
-                    cache_hits += 1
-            registry.counter("farm.cache_hits").inc(cache_hits)
-            registry.counter("farm.cache_misses").inc(
-                len(windows) - len(done)
-            )
-
-        # Deduplicate the remaining windows: the first window of each
-        # fingerprint is scanned, the rest inherit its probability.
-        representatives: List[int] = []
-        duplicates: List[int] = []
-        for i in range(len(windows)):
-            if i in done:
-                continue
-            fp = fingerprints[i]
-            if fp in known:
-                duplicates.append(i)
-            else:
-                known[fp] = np.nan  # claimed; real value filled on arrival
-                representatives.append(i)
-        if duplicates:
-            registry.counter("farm.windows_deduped").inc(len(duplicates))
-
-        # Oversubscription only pays off when a pool is load-balancing;
-        # in-process execution gets one shard, avoiding the duplicated
-        # boundary-tile raster that adjacent overlapping bands cost.
-        shard_count = (
-            self.workers * self.shards_per_worker if self.workers > 1 else 1
-        )
-        shards = plan_shards(
-            windows,
-            representatives,
-            region=layout.region,
-            # Per-clip shards have no block lattice; the clip size keeps
-            # their (unused) regions window-sized.
-            block_nm=block_nm if use_shared else self.clip_nm,
-            shard_count=shard_count,
-        )
-        payload = {
-            "detector": self.detector,
-            "layout": layout,
-            "windows": windows,
-            "use_shared": use_shared,
-            "clip_nm": self.clip_nm,
-            "tile_blocks": self.tile_blocks,
-            "batch_size": batch_size,
-        }
-        probabilities = np.empty(len(windows), dtype=np.float64)
-        for i, probability in done.items():
-            probabilities[i] = probability
-        landed = {"batches": 0}
-        bus = get_bus()
-
-        def land(indices: Sequence[int], scored: np.ndarray) -> None:
-            """Freshly scored windows: result, journal, drift, fault point."""
-            probabilities[indices] = scored
-            for i, p in zip(indices, scored):
-                known[fingerprints[i]] = float(p)
-            if scan_journal is not None:
-                scan_journal.record(indices, scored)
-            if self.drift_monitor is not None:
-                self.drift_monitor.observe(scored)
-            maybe_fail("farm.batch", landed["batches"])
-            landed["batches"] += 1
-
-        def shard_done(shard: RegionShard, seconds: float) -> None:
-            registry.counter(
-                "farm.shard.windows", labels={"shard": str(shard.index)}
-            ).inc(len(shard.window_indices))
-            registry.histogram("farm.shard.seconds").observe(seconds)
-            emit(
-                "farm.shard.complete",
-                level="debug",
-                shard=shard.index,
-                windows=len(shard.window_indices),
-                seconds=seconds,
-            )
-
-        def consume(shard: RegionShard, result: ShardResult) -> None:
-            """Land a pool shard: one journal record for the whole band."""
-            shard_probs, snapshot, events, seconds = result
-            registry.merge_snapshot(snapshot)
-            # Replay the shard's span events (collected on its private
-            # bus in another process) onto the parent bus: their
-            # trace/span ids are in the attrs, so the JSONL log
-            # reassembles parent + worker spans into one trace tree.
-            for event in events:
-                bus.emit(
-                    event.get("name", "span"),
-                    level=event.get("level", "debug"),
-                    **event.get("attrs", {}),
-                )
-            land(list(shard.window_indices), shard_probs)
-            shard_done(shard, seconds)
-
-        def scan_in_process(shard: RegionShard) -> None:
-            """Score a shard here, landing every batch as it is scored."""
-            tick = time.perf_counter()
-            indices = np.asarray(shard.window_indices, dtype=np.int64)
-            _score_shard(
-                payload,
-                shard,
-                lambda positions, scored: land(indices[positions], scored),
-            )
-            shard_done(shard, time.perf_counter() - tick)
-
-        spill_dir: Optional[str] = None
-        try:
+            "farm.scan",
+            windows=len(windows),
+            workers=self.workers,
+            pipeline=resolved,
+        ) as farm_span:
             with span(
-                "farm.scan",
-                windows=len(windows),
-                shards=len(shards),
-                workers=self.workers,
-                pipeline=resolved,
-            ) as farm_span:
+                "farm.fingerprint", windows=len(windows), pipeline=resolved
+            ):
+                salt = scan_salt(
+                    clip_nm=self.clip_nm,
+                    pipeline=resolved,
+                    model_key=self.model_key(),
+                    feature=(
+                        self.detector.extractor.config if use_shared else None
+                    ),
+                )
+                fingerprints = window_fingerprints(layout, windows, salt)
+
+            scan_journal: Optional[ScanJournal] = None
+            done: Dict[int, float] = {}
+            if journal is not None:
+                with span("farm.journal", resume=resume):
+                    scan_journal = ScanJournal(journal)
+                    header = self._journal_header(
+                        layout, len(windows), resolved
+                    )
+                    if resume and scan_journal.path.exists():
+                        done = scan_journal.resume(header)
+                        emit(
+                            "scan.journal.resume",
+                            completed=len(done),
+                            windows=len(windows),
+                            path=str(scan_journal.path),
+                        )
+                        registry.counter("scan.windows_resumed").inc(
+                            len(done)
+                        )
+                    else:
+                        scan_journal.start(header)
+
+            #: fingerprint -> probability, from every source of truth we have.
+            known: Dict[str, float] = {
+                fingerprints[i]: p for i, p in done.items()
+            }
+            cache: Optional[ScanCache] = None
+            if self.cache_dir is not None:
+                with span("farm.cache_read"):
+                    cache = ScanCache(self.cache_dir)  # loads the file
+                    hits = cache.lookup(fingerprints)
+                cache_hits = 0
+                for i, fp in enumerate(fingerprints):
+                    if i not in done and fp in hits:
+                        done[i] = hits[fp]
+                        known.setdefault(fp, hits[fp])
+                        cache_hits += 1
+                registry.counter("farm.cache_hits").inc(cache_hits)
+                registry.counter("farm.cache_misses").inc(
+                    len(windows) - len(done)
+                )
+
+            # Deduplicate the remaining windows: the first window of each
+            # fingerprint is scanned, the rest inherit its probability.
+            representatives: List[int] = []
+            duplicates: List[int] = []
+            for i in range(len(windows)):
+                if i in done:
+                    continue
+                fp = fingerprints[i]
+                if fp in known:
+                    duplicates.append(i)
+                else:
+                    known[fp] = np.nan  # claimed; real value filled on arrival
+                    representatives.append(i)
+            if duplicates:
+                registry.counter("farm.windows_deduped").inc(len(duplicates))
+
+            # Oversubscription only pays off when a pool is load-balancing;
+            # in-process execution gets one shard, avoiding the duplicated
+            # boundary-tile raster that adjacent overlapping bands cost.
+            shard_count = (
+                self.workers * self.shards_per_worker
+                if self.workers > 1
+                else 1
+            )
+            shards = plan_shards(
+                windows,
+                representatives,
+                region=layout.region,
+                # Per-clip shards have no block lattice; the clip size keeps
+                # their (unused) regions window-sized.
+                block_nm=block_nm if use_shared else self.clip_nm,
+                shard_count=shard_count,
+            )
+            farm_span.attrs["shards"] = len(shards)
+            payload = {
+                "detector": self.detector,
+                "layout": layout,
+                "windows": windows,
+                "use_shared": use_shared,
+                "clip_nm": self.clip_nm,
+                "tile_blocks": self.tile_blocks,
+                "batch_size": batch_size,
+            }
+            probabilities = np.empty(len(windows), dtype=np.float64)
+            for i, probability in done.items():
+                probabilities[i] = probability
+            landed = {"batches": 0}
+            bus = get_bus()
+
+            def land(indices: Sequence[int], scored: np.ndarray) -> None:
+                """Freshly scored windows: result, journal, drift, fault point."""
+                probabilities[indices] = scored
+                for i, p in zip(indices, scored):
+                    known[fingerprints[i]] = float(p)
+                if scan_journal is not None:
+                    scan_journal.record(indices, scored)
+                if self.drift_monitor is not None:
+                    self.drift_monitor.observe(scored)
+                maybe_fail("farm.batch", landed["batches"])
+                landed["batches"] += 1
+
+            def shard_done(shard: RegionShard, seconds: float) -> None:
+                registry.counter(
+                    "farm.shard.windows", labels={"shard": str(shard.index)}
+                ).inc(len(shard.window_indices))
+                registry.histogram("farm.shard.seconds").observe(seconds)
+                emit(
+                    "farm.shard.complete",
+                    level="debug",
+                    shard=shard.index,
+                    windows=len(shard.window_indices),
+                    seconds=seconds,
+                )
+
+            def consume(shard: RegionShard, result: ShardResult) -> None:
+                """Land a pool shard: one journal record for the whole band."""
+                shard_probs, snapshot, events, seconds = result
+                registry.merge_snapshot(snapshot)
+                # Replay the shard's span events (collected on its private
+                # bus in another process) onto the parent bus: their
+                # trace/span ids are in the attrs, so the JSONL log
+                # reassembles parent + worker spans into one trace tree.
+                for event in events:
+                    bus.emit(
+                        event.get("name", "span"),
+                        level=event.get("level", "debug"),
+                        **event.get("attrs", {}),
+                    )
+                land(list(shard.window_indices), shard_probs)
+                shard_done(shard, seconds)
+
+            def scan_in_process(shard: RegionShard) -> None:
+                """Score a shard here, landing every batch as it is scored."""
+                tick = time.perf_counter()
+                indices = np.asarray(shard.window_indices, dtype=np.int64)
+                _score_shard(
+                    payload,
+                    shard,
+                    lambda positions, scored: land(indices[positions], scored),
+                )
+                shard_done(shard, time.perf_counter() - tick)
+
+            spill_dir: Optional[str] = None
+            try:
                 completed: set = set()
                 if self.workers > 1 and len(shards) > 1:
                     # Pool workers parent their farm.shard spans to this
@@ -641,22 +650,23 @@ class ScanFarm:
                 result = assemble_scan_result(
                     windows, probabilities, self.threshold, started
                 )
-        finally:
-            if scan_journal is not None:
-                scan_journal.close()
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
-        if self.drift_monitor is not None:
-            self.drift_monitor.check(force=True)
+            finally:
+                if scan_journal is not None:
+                    scan_journal.close()
+                if spill_dir is not None:
+                    shutil.rmtree(spill_dir, ignore_errors=True)
+            if self.drift_monitor is not None:
+                self.drift_monitor.check(force=True)
 
-        if cache is not None:
-            written = cache.update(
-                {
-                    fp: float(probabilities[i])
-                    for i, fp in enumerate(fingerprints)
-                }
-            )
-            registry.counter("farm.cache_writes").inc(written)
+            if cache is not None:
+                with span("farm.cache_write"):
+                    written = cache.update(
+                        {
+                            fp: float(probabilities[i])
+                            for i, fp in enumerate(fingerprints)
+                        }
+                    )
+                registry.counter("farm.cache_writes").inc(written)
         registry.counter("scan.windows").inc(result.window_count)
         registry.counter("scan.flagged").inc(result.flagged_count)
         registry.counter("farm.shards").inc(len(shards))

@@ -12,50 +12,30 @@ into that long-running scoring service:
   ``max_wait_ms`` of each other are scored as one
   ``predict_proba_tensors`` call and fanned back out via futures),
   bounded-queue backpressure, and graceful drain.
-- :mod:`repro.serve.fleet` — :class:`FleetEngine`: the multi-process
-  replica pool behind the same surface. Weights live once per version in
-  POSIX shared memory (:mod:`repro.serve.shm`); replicas attach
-  zero-copy, die-and-respawn under a monitor, and every response is
-  bitwise-equal to offline single-request scoring.
-- :mod:`repro.serve.router` — :class:`Router`: per-tenant token-bucket
-  admission (429 + Retry-After), deterministic hash-split canary
-  routing, and shadow scoring with per-request diff events.
 - :mod:`repro.serve.registry` — :class:`ModelRegistry`: versioned serving
   checkpoints (the PR-3 verified-checkpoint format) with atomic hot swap
   and rollback; in-flight batches always finish on the model they
   started with.
 - :mod:`repro.serve.http` — a stdlib-only ``ThreadingHTTPServer`` JSON
   API (``POST /v1/predict``, ``POST /v1/models/<name>/reload``,
-  ``/canary``, ``/shadow``, ``GET /healthz``, ``GET /metrics``)
-  instrumented through :mod:`repro.obs`.
+  ``/rollback``, ``GET /healthz``, ``GET /metrics``) instrumented
+  through :mod:`repro.obs`.
 - :mod:`repro.serve.client` — a tiny urllib client (with Retry-After
   aware capped-exponential retries) for tests, CI, and examples.
 
-Start a fleet from the command line::
+Start the service from the command line::
 
-    repro-hotspot serve --checkpoint-dir runs/registry --port 8080 \
-        --replicas 4 --tenant-rps opc=200:50
+    repro-hotspot serve --checkpoint-dir runs/registry --port 8080
 """
 
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.engine import EngineConfig, InferenceEngine
-from repro.serve.fleet import FleetConfig, FleetEngine
 from repro.serve.http import HotspotHTTPServer, make_server
 from repro.serve.registry import LoadedModel, ModelRegistry, ModelVersion
-from repro.serve.router import (
-    AdmissionController,
-    Router,
-    TenantRate,
-    TokenBucket,
-    key_fraction,
-)
-from repro.serve.shm import SharedModel, sweep_stale_segments
 
 __all__ = [
     "EngineConfig",
     "InferenceEngine",
-    "FleetConfig",
-    "FleetEngine",
     "ModelRegistry",
     "ModelVersion",
     "LoadedModel",
@@ -63,11 +43,4 @@ __all__ = [
     "make_server",
     "ServeClient",
     "ServeClientError",
-    "Router",
-    "AdmissionController",
-    "TenantRate",
-    "TokenBucket",
-    "key_fraction",
-    "SharedModel",
-    "sweep_stale_segments",
 ]

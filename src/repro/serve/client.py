@@ -12,12 +12,12 @@ the server's JSONL log as one tree: ``client.request`` →
 returned to callers via :meth:`ServeClient.last_trace_id` for feeding
 ``obs report --trace``.
 
-Retries: with ``retries > 0`` the client treats 429 (per-tenant
-throttle) and 503 (fleet saturation / mid-swap) as transient. The wait
-honours the server's ``Retry-After`` header when present, otherwise
-falls back to capped exponential backoff (``backoff_base_s * 2**n``,
-clamped to ``backoff_cap_s``). Other statuses surface immediately —
-retrying a 400 would just re-send a malformed request.
+Retries: with ``retries > 0`` the client treats 503 (queue backpressure,
+an engine draining) as transient. The wait honours the server's
+``Retry-After`` header when present, otherwise falls back to capped
+exponential backoff (``backoff_base_s * 2**n``, clamped to
+``backoff_cap_s``). Other statuses surface immediately — retrying a 400
+would just re-send a malformed request.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.exceptions import ServeError
 from repro.obs.tracing import format_traceparent, span
 
 #: Statuses the client may transparently retry (with backoff).
-RETRYABLE_STATUSES = (429, 503)
+RETRYABLE_STATUSES = (503,)
 
 
 class ServeClientError(ServeError):
@@ -105,7 +105,7 @@ class ServeClient:
         self.backoff_cap_s = backoff_cap_s
         self._transport = transport or _urllib_transport
         self._sleep = sleep
-        #: Trace id of the most recent request (empty when tracing off).
+        #: Trace id of the most recent request.
         self.last_trace_id = ""
         #: Retries performed by the most recent call (observability aid).
         self.last_retries = 0
@@ -123,20 +123,15 @@ class ServeClient:
         body: Optional[dict] = None,
         raw: bool = False,
         accept: Optional[str] = None,
-        headers: Optional[dict] = None,
     ):
         data = json.dumps(body).encode("utf-8") if body is not None else None
         base_headers = {"Content-Type": "application/json"} if data else {}
         if accept:
             base_headers["Accept"] = accept
-        if headers:
-            base_headers.update(headers)
         self.last_retries = 0
         with span("client.request", method=method, target=path) as record:
-            context = record.context()
-            if context is not None:
-                base_headers["traceparent"] = format_traceparent(context)
-                self.last_trace_id = record.trace_id
+            base_headers["traceparent"] = format_traceparent(record.context())
+            self.last_trace_id = record.trace_id
             attempt = 0
             while True:
                 request = urllib.request.Request(
@@ -167,55 +162,27 @@ class ServeClient:
                 self.last_retries = attempt
 
     # ------------------------------------------------------------------
-    def predict_tensors(
-        self,
-        tensors,
-        tenant: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> np.ndarray:
+    def predict_tensors(self, tensors) -> np.ndarray:
         """Score feature tensors; returns the ``(N, 2)`` probability rows."""
-        tensors = np.asarray(tensors, dtype=np.float32)
-        if tensors.ndim == 3:
-            tensors = tensors[None]
-        payload = self.predict_tensors_detail(tensors, tenant=tenant, key=key)
+        payload = self.predict_tensors_detail(tensors)
         return np.asarray(payload["probabilities"], dtype=np.float64)
 
-    def predict_tensors_detail(
-        self,
-        tensors,
-        tenant: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> dict:
+    def predict_tensors_detail(self, tensors) -> dict:
         """Like :meth:`predict_tensors` but returns the full response
         (probabilities plus the ``version`` that scored the request)."""
         tensors = np.asarray(tensors, dtype=np.float32)
         if tensors.ndim == 3:
             tensors = tensors[None]
-        body = {"tensors": tensors.tolist()}
-        headers = {}
-        if tenant is not None:
-            headers["X-Tenant"] = tenant
-        if key is not None:
-            headers["X-Request-Key"] = key
-        return self._request("POST", "/v1/predict", body, headers=headers)
+        return self._request(
+            "POST", "/v1/predict", {"tensors": tensors.tolist()}
+        )
 
-    def predict_images(
-        self,
-        images: Sequence,
-        tenant: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> np.ndarray:
+    def predict_images(self, images: Sequence) -> np.ndarray:
         """Score raw square clip images (server runs feature extraction)."""
-        headers = {}
-        if tenant is not None:
-            headers["X-Tenant"] = tenant
-        if key is not None:
-            headers["X-Request-Key"] = key
         payload = self._request(
             "POST",
             "/v1/predict",
             {"images": [np.asarray(image).tolist() for image in images]},
-            headers=headers,
         )
         return np.asarray(payload["probabilities"], dtype=np.float64)
 
@@ -227,29 +194,6 @@ class ServeClient:
     def rollback(self, model: str = "default") -> dict:
         """Swap back to the previously served version."""
         return self._request("POST", f"/v1/models/{model}/rollback", {})
-
-    def canary(
-        self,
-        version: Optional[str],
-        fraction: float = 0.0,
-        model: str = "default",
-    ) -> dict:
-        """Set (or clear, with ``version=None``) fleet canary routing."""
-        body = (
-            {"version": version, "fraction": fraction}
-            if version is not None
-            else {}
-        )
-        return self._request("POST", f"/v1/models/{model}/canary", body)
-
-    def shadow(self, version: Optional[str], model: str = "default") -> dict:
-        """Set (or clear, with ``version=None``) fleet shadow scoring."""
-        body = {"version": version} if version is not None else {}
-        return self._request("POST", f"/v1/models/{model}/shadow", body)
-
-    def routing(self) -> dict:
-        """The fleet's routing state (stable/canary/shadow, replicas)."""
-        return self._request("GET", "/v1/routing")
 
     def health(self) -> dict:
         return self._request("GET", "/healthz")

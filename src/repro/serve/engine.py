@@ -19,7 +19,8 @@ Contracts:
 - **Hot swap** — the model is resolved from the
   :class:`~repro.serve.registry.ModelRegistry` once per micro-batch, so
   an ``activate()`` never tears a batch: in-flight batches finish on the
-  model they started with, the next batch picks up the new version.
+  model they started with, the next batch picks up the new version, and
+  each request's future names the version that scored it.
 - **Graceful drain** — :meth:`close` stops intake, lets workers flush
   every queued request (no drops, no duplicates), then joins them.
   Inference itself is safe to run from many workers at once because
@@ -214,13 +215,7 @@ class InferenceEngine:
             )
         return batch
 
-    def submit(
-        self,
-        tensors,
-        *,
-        tenant: str = "default",
-        key: Optional[str] = None,
-    ) -> "Future[np.ndarray]":
+    def submit(self, tensors) -> "Future[np.ndarray]":
         """Queue feature tensors for scoring; returns a future of (N, 2).
 
         Raises :class:`QueueFullError` at capacity,
@@ -229,12 +224,10 @@ class InferenceEngine:
         model's feature shape (rejected up front so one malformed request
         can never poison a whole micro-batch).
 
-        ``tenant``/``key`` exist for signature parity with
-        :class:`~repro.serve.fleet.FleetEngine`; the single-process
-        engine has no admission control or canary routing, so they are
-        accepted and ignored.
+        A resolved future's ``version`` attribute names the model version
+        that scored it — after a hot swap that can differ from
+        :attr:`model_version`.
         """
-        del tenant, key
         batch = self._coerce_tensors(tensors)
         registry = get_registry()
         request = _Request(batch)
@@ -280,15 +273,9 @@ class InferenceEngine:
         )
         return tensors
 
-    def submit_images(
-        self,
-        images: Sequence,
-        *,
-        tenant: str = "default",
-        key: Optional[str] = None,
-    ) -> "Future[np.ndarray]":
+    def submit_images(self, images: Sequence) -> "Future[np.ndarray]":
         """Extract feature tensors from raw images, then :meth:`submit`."""
-        return self.submit(self.encode_images(images), tenant=tenant, key=key)
+        return self.submit(self.encode_images(images))
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -429,6 +416,9 @@ class InferenceEngine:
             offset += request.count
             if not request.future.set_running_or_notify_cancel():
                 continue  # pragma: no cover - futures are never cancelled
+            # Stamped before the result: a waiter woken by set_result
+            # must already see the version that scored its rows.
+            request.future.version = model.version
             request.future.set_result(rows)
             latency = finished - request.submitted_at
             registry.histogram("serve.request.seconds").observe(latency)
@@ -478,17 +468,6 @@ class InferenceEngine:
             "errors": registry.counter("serve.errors").value,
             "mean_batch_size": (samples / batches) if batches else 0.0,
         }
-
-    def metrics_snapshot(self) -> dict:
-        """Process-registry snapshot (fleet-parity scrape surface).
-
-        The single-process engine records everything in the process
-        default registry; :class:`~repro.serve.fleet.FleetEngine`
-        overlays per-replica snapshots here, which is why the HTTP
-        ``/metrics`` endpoints scrape through this method instead of
-        reading :func:`~repro.obs.get_registry` directly.
-        """
-        return get_registry().snapshot()
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop intake and shut the workers down.

@@ -52,7 +52,6 @@ from repro.exceptions import (
     FeatureError,
     ModelNotFoundError,
     QueueFullError,
-    RateLimitedError,
     ReproError,
     ServeError,
 )
@@ -109,21 +108,17 @@ class ServeHandler(BaseHTTPRequestHandler):
         self,
         status: int,
         payload: dict,
-        retry_after: Optional[float] = None,
+        retry_after_s: Optional[int] = None,
         trace=None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # Integer seconds per RFC 9110; never advertise 0 (a retry
-            # storm is exactly what the header exists to prevent).
-            self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
+        if retry_after_s is not None:
+            self.send_header("Retry-After", str(retry_after_s))
         if trace is not None:
-            context = trace.context() if hasattr(trace, "context") else trace
-            if context is not None:
-                self.send_header("traceparent", format_traceparent(context))
+            self.send_header("traceparent", format_traceparent(trace.context()))
         self.end_headers()
         self.wfile.write(body)
 
@@ -135,20 +130,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(
-        self,
-        status: int,
-        exc: BaseException,
-        retry_after: Optional[float] = None,
-    ) -> None:
+    def _send_error_json(self, status: int, exc: BaseException) -> None:
         get_registry().counter("serve.http.errors").inc()
-        if retry_after is None and status in (429, 503):
-            retry_after = 1.0
         payload = {"error": type(exc).__name__, "detail": str(exc)}
-        tenant = getattr(exc, "tenant", None)
-        if tenant:
-            payload["tenant"] = tenant
-        self._send_json(status, payload, retry_after=retry_after)
+        # A 503 (backpressure, draining) is transient: say when to retry.
+        self._send_json(
+            status, payload, retry_after_s=1 if status == 503 else None
+        )
 
     def _read_json_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -177,8 +165,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         try:
             with use_trace(parse_traceparent(self.headers.get("traceparent"))):
                 handler()
-        except RateLimitedError as exc:
-            self._send_error_json(429, exc, retry_after=exc.retry_after)
         except QueueFullError as exc:
             self._send_error_json(503, exc)
         except EngineClosedError as exc:
@@ -208,8 +194,6 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._dispatch(self._handle_metrics)
         elif self.path == "/metrics.json":
             self._dispatch(self._handle_metrics_json)
-        elif self.path == "/v1/routing":
-            self._dispatch(self._handle_routing)
         else:
             self._send_json(404, {"error": "NotFound", "detail": self.path})
 
@@ -225,12 +209,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                 return
             if action == "rollback":
                 self._dispatch(lambda: self._handle_rollback(name))
-                return
-            if action == "canary":
-                self._dispatch(lambda: self._handle_canary(name))
-                return
-            if action == "shadow":
-                self._dispatch(lambda: self._handle_shadow(name))
                 return
         self._send_json(404, {"error": "NotFound", "detail": self.path})
 
@@ -248,7 +226,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "model": self.server.registry.name if self.server.registry else "static",
                 "version": version,
-                "infer_precision": getattr(engine, "infer_precision", "float64"),
+                "infer_precision": engine.infer_precision,
                 "queue_depth": engine.queue_depth,
             },
         )
@@ -275,17 +253,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         # Evaluating SLOs before the snapshot keeps the exported burn
         # gauges as fresh as the scrape that reads them.
         slos = self._refresh_slos()
-        engine = self.server.engine
-        if hasattr(engine, "metrics_snapshot"):
-            # Fleet front-ends merge per-replica snapshots (labelled
-            # replica="<uid>") into the scrape.
-            snapshot = engine.metrics_snapshot()
-        else:  # pragma: no cover - pre-metrics_snapshot engines
-            snapshot = get_registry().snapshot()
         return {
-            "serve": engine.stats(),
+            "serve": self.server.engine.stats(),
             "slo": slos,
-            "metrics": snapshot,
+            "metrics": get_registry().snapshot(),
         }
 
     def _handle_metrics(self) -> None:
@@ -313,36 +284,20 @@ class ServeHandler(BaseHTTPRequestHandler):
                 raise ServeError(
                     "body must have exactly one of 'tensors' or 'images'"
                 )
-            tenant = (
-                self.headers.get("X-Tenant")
-                or payload.get("tenant")
-                or "default"
-            )
-            key = self.headers.get("X-Request-Key") or payload.get("key")
-            if not isinstance(tenant, str):
-                raise ServeError("'tenant' must be a string")
-            if key is not None and not isinstance(key, str):
-                raise ServeError("'key' must be a string")
             if tensors is not None:
-                future = engine.submit(
-                    np.asarray(tensors, dtype=np.float32),
-                    tenant=tenant,
-                    key=key,
-                )
+                future = engine.submit(np.asarray(tensors, dtype=np.float32))
             else:
-                future = engine.submit_images(images, tenant=tenant, key=key)
+                future = engine.submit_images(images)
             probabilities = future.result(self.server.request_timeout_s)
-        # A fleet stamps the version that actually scored the request on
-        # the future (a canaried request may not serve the stable one).
-        version = getattr(future, "version", None) or engine.model_version
         self._send_json(
             200,
             {
                 "probabilities": probabilities.tolist(),
                 "count": int(probabilities.shape[0]),
                 "model": self.server.registry.name if self.server.registry else "static",
-                "version": version,
-                "tenant": tenant,
+                # The version that scored these rows, which a hot swap
+                # may already have replaced as the active one.
+                "version": future.version,
                 "trace_id": record.trace_id,
             },
             trace=record,
@@ -362,27 +317,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         version = payload.get("version")
         if version is not None and not isinstance(version, str):
             raise ServeError(f"'version' must be a string, got {type(version).__name__}")
-        engine = self.server.engine
-        if hasattr(engine, "activate"):
-            # Fleet: the engine owns the serving set (shm publication +
-            # replica ACK handshake), not the registry's active slot.
-            try:
-                previous = engine.model_version
-            except ModelNotFoundError:
-                previous = None
-            activated = engine.activate(version)
-            self._send_json(
-                200,
-                {
-                    "model": registry.name,
-                    "version": activated,
-                    "previous": previous,
-                    "infer_precision": getattr(
-                        engine, "infer_precision", "float64"
-                    ),
-                },
-            )
-            return
         previous = registry.current.version if registry.has_current else None
         loaded = registry.activate(version)
         self._send_json(
@@ -397,76 +331,8 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _handle_rollback(self, name: str) -> None:
         registry = self._require_registry(name)
-        engine = self.server.engine
-        if hasattr(engine, "rollback"):
-            rolled = engine.rollback()
-            self._send_json(200, {"model": registry.name, "version": rolled})
-            return
         rolled = registry.rollback()
         self._send_json(200, {"model": registry.name, "version": rolled.version})
-
-    # ------------------------------------------------------------------
-    # Fleet routing admin (canary / shadow)
-    # ------------------------------------------------------------------
-    def _fleet_engine(self):
-        engine = self.server.engine
-        if not hasattr(engine, "set_canary"):
-            raise ServeError(
-                "canary/shadow routing needs a replica fleet "
-                "(serve --replicas N)"
-            )
-        return engine
-
-    def _handle_canary(self, name: str) -> None:
-        registry = self._require_registry(name)
-        engine = self._fleet_engine()
-        payload = self._read_json_body()
-        version = payload.get("version")
-        if version is None:
-            engine.clear_canary()
-            self._send_json(
-                200, {"model": registry.name, "canary": None}
-            )
-            return
-        if not isinstance(version, str):
-            raise ServeError(f"'version' must be a string, got {type(version).__name__}")
-        fraction = payload.get("fraction")
-        if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
-            raise ServeError("'fraction' must be a number in [0, 1]")
-        engine.set_canary(version, float(fraction))
-        self._send_json(
-            200,
-            {
-                "model": registry.name,
-                "canary": {"version": version, "fraction": float(fraction)},
-            },
-        )
-
-    def _handle_shadow(self, name: str) -> None:
-        registry = self._require_registry(name)
-        engine = self._fleet_engine()
-        payload = self._read_json_body()
-        version = payload.get("version")
-        if version is None:
-            engine.clear_shadow()
-            self._send_json(200, {"model": registry.name, "shadow": None})
-            return
-        if not isinstance(version, str):
-            raise ServeError(f"'version' must be a string, got {type(version).__name__}")
-        engine.set_shadow(version)
-        self._send_json(200, {"model": registry.name, "shadow": version})
-
-    def _handle_routing(self) -> None:
-        engine = self.server.engine
-        router = getattr(engine, "router", None)
-        if router is None:
-            raise ServeError(
-                "routing state needs a replica fleet (serve --replicas N)"
-            )
-        payload = router.describe()
-        stats = engine.stats()
-        payload["replicas"] = stats.get("replicas", [])
-        self._send_json(200, payload)
 
 
 def make_server(

@@ -298,29 +298,6 @@ class ModelRegistry:
         """Fully load + verify one version (does not change the active slot)."""
         return self.load_model(version).detector
 
-    def read_state(self, version: str) -> dict:
-        """Verified raw state tree of one version (no detector built).
-
-        The fleet publishes weights into shared memory straight from this
-        tree — materialising a full :class:`HotspotDetector` in the
-        front-end process would defeat the single-copy design. The read
-        path is the same fully verifying ``read_checkpoint`` as
-        :meth:`load_model`, so corrupt checkpoints raise here, before any
-        segment is created.
-        """
-        path = self.path_for(version)
-        if not path.exists():
-            raise ModelNotFoundError(
-                f"model {self.name!r} has no version {version!r} at {path}"
-            )
-        state = read_checkpoint(path)
-        if state.get("kind") != DETECTOR_CHECKPOINT_KIND:
-            raise CheckpointCorruptError(
-                f"{path}: kind {state.get('kind')!r} is not a "
-                f"{DETECTOR_CHECKPOINT_KIND} checkpoint"
-            )
-        return state
-
     def load_model(self, version: str) -> LoadedModel:
         """Load + verify one version with its drift profile, if present.
 

@@ -38,17 +38,6 @@ _TOOLKIT_NAMES = (
     "weights_equal",
 )
 
-# Fleet conformance harness (lazy: pulls in repro.serve → repro.nn).
-_FLEET_NAMES = (
-    "FleetLoadGenerator",
-    "LoadReport",
-    "RequestOutcome",
-    "assert_no_leaked_segments",
-    "client_sender",
-    "engine_sender",
-    "offline_expectations",
-)
-
 __all__ = [
     "FAULTS_ENV",
     "InjectedFault",
@@ -58,7 +47,6 @@ __all__ = [
     "maybe_fail",
     "parse_spec",
     *_TOOLKIT_NAMES,
-    *_FLEET_NAMES,
 ]
 
 
@@ -67,8 +55,4 @@ def __getattr__(name: str):
         from repro.testing import toolkit
 
         return getattr(toolkit, name)
-    if name in _FLEET_NAMES:
-        from repro.testing import fleet
-
-        return getattr(fleet, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

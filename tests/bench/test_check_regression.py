@@ -21,18 +21,17 @@ _spec.loader.exec_module(checker)
 
 def envelope(results):
     return {
-        "experiment": "serve",
+        "experiment": "timing",
         "metadata": {"host": "test"},
         "results": results,
     }
 
 
-def serve_results(rps=1000.0, p95=0.01):
+def timing_results(rps=1000.0, p95=0.01):
     return {
         "configs": [
             {
                 "max_batch": 32,
-                "max_wait_ms": 5.0,
                 "requests": 100,
                 "seconds": 1.0,
                 "requests_per_second": rps,
@@ -40,41 +39,11 @@ def serve_results(rps=1000.0, p95=0.01):
                 "mean_batch_size": 4.0,
             }
         ],
-        "tracing": {
-            "ids_on_rps": rps,
-            "ids_off_rps": rps,
-            "overhead_fraction": 0.0,
-            "p95_on_s": p95,
-            "p95_off_s": p95,
-        },
-        "fleet": {
-            "cpu_count": 4,
-            "single_process_rps": rps,
-            "replicas_sweep": [
-                {
-                    "replicas": 4,
-                    "requests": 100,
-                    "seconds": 1.0,
-                    "requests_per_second": rps,
-                    "p95_latency_s": p95,
-                    "speedup_vs_single_process": 1.0,
-                }
-            ],
-        },
-        "quant": {
-            "replicas": 2,
-            "windows_per_request": 64,
-            "float32_rps": rps,
-            "int8_rps": 2 * rps,
-            "speedup_int8_vs_float32": 2.0,
-            "segment_bytes_float64": 732224,
-            "segment_bytes_int8": 97152,
-            "payload_shrink": 7.5,
-            "attach_seconds_int8": 0.01,
-            "parity_flag_jaccard": 1.0,
-            "parity_max_prob_delta": 1e-6,
-        },
     }
+
+
+#: An artifact name with no per-artifact schema rules.
+ARTIFACT = "BENCH_other.json"
 
 
 def write_artifacts(directory, name, document):
@@ -114,80 +83,44 @@ class TestDirection:
 
 class TestCompareDocuments:
     def test_identical_documents_are_clean(self):
-        doc = envelope(serve_results())
+        doc = envelope(timing_results())
         assert checker.compare_documents(doc, doc, tolerance=0.25) == []
 
     def test_throughput_regression_beyond_tolerance_fails(self):
-        base = envelope(serve_results(rps=1000.0))
-        fresh = envelope(serve_results(rps=700.0))  # 30% drop
+        base = envelope(timing_results(rps=1000.0))
+        fresh = envelope(timing_results(rps=700.0))  # 30% drop
         problems = checker.compare_documents(base, fresh, tolerance=0.25)
         assert any("requests_per_second" in p for p in problems)
 
     def test_throughput_drop_within_tolerance_passes(self):
-        base = envelope(serve_results(rps=1000.0))
-        fresh = envelope(serve_results(rps=800.0))  # 20% drop
+        base = envelope(timing_results(rps=1000.0))
+        fresh = envelope(timing_results(rps=800.0))  # 20% drop
         assert checker.compare_documents(base, fresh, tolerance=0.25) == []
 
     def test_latency_regression_fails(self):
-        base = envelope(serve_results(p95=0.010))
-        fresh = envelope(serve_results(p95=0.020))  # 2x slower
+        base = envelope(timing_results(p95=0.010))
+        fresh = envelope(timing_results(p95=0.020))  # 2x slower
         problems = checker.compare_documents(base, fresh, tolerance=0.25)
         assert any("p95" in p for p in problems)
 
     def test_improvements_never_fail(self):
-        base = envelope(serve_results(rps=1000.0, p95=0.010))
-        fresh = envelope(serve_results(rps=5000.0, p95=0.001))
+        base = envelope(timing_results(rps=1000.0, p95=0.010))
+        fresh = envelope(timing_results(rps=5000.0, p95=0.001))
         assert checker.compare_documents(base, fresh, tolerance=0.25) == []
 
     def test_missing_metric_is_a_problem(self):
-        base = envelope(serve_results())
+        base = envelope(timing_results())
         fresh = envelope({"configs": []})
         problems = checker.compare_documents(base, fresh, tolerance=0.25)
         assert any("missing metric" in p for p in problems)
 
 
 class TestCheckSchema:
-    def test_valid_serve_artifact_passes(self):
-        doc = envelope(serve_results())
-        assert checker.check_schema(Path("BENCH_serve.json"), doc) == []
-
     def test_missing_envelope_key_fails(self):
-        doc = envelope(serve_results())
+        doc = envelope(timing_results())
         del doc["metadata"]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
+        problems = checker.check_schema(Path(ARTIFACT), doc)
         assert any("metadata" in p for p in problems)
-
-    def test_serve_artifact_needs_tracing_section(self):
-        doc = envelope(serve_results())
-        del doc["results"]["tracing"]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
-        assert any("tracing" in p for p in problems)
-
-    def test_serve_artifact_needs_fleet_section(self):
-        doc = envelope(serve_results())
-        del doc["results"]["fleet"]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
-        assert any("fleet" in p for p in problems)
-
-    def test_fleet_sweep_entries_validated(self):
-        doc = envelope(serve_results())
-        del doc["results"]["fleet"]["replicas_sweep"][0][
-            "speedup_vs_single_process"
-        ]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
-        assert any("speedup_vs_single_process" in p for p in problems)
-
-    def test_serve_artifact_needs_quant_section(self):
-        doc = envelope(serve_results())
-        del doc["results"]["quant"]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
-        assert any("quant" in p for p in problems)
-
-    def test_serve_quant_keys_validated(self):
-        doc = envelope(serve_results())
-        del doc["results"]["quant"]["speedup_int8_vs_float32"]
-        problems = checker.check_schema(Path("BENCH_serve.json"), doc)
-        assert any("speedup_int8_vs_float32" in p for p in problems)
 
     def test_kernels_artifact_needs_quant_section(self):
         doc = {
@@ -198,9 +131,9 @@ class TestCheckSchema:
         problems = checker.check_schema(Path("BENCH_kernels.json"), doc)
         assert any("quant" in p for p in problems)
 
-    def test_non_serve_artifact_skips_serve_rules(self):
+    def test_unknown_artifact_needs_only_the_envelope(self):
         doc = envelope({"scan_seconds": 1.0})
-        assert checker.check_schema(Path("BENCH_fullchip.json"), doc) == []
+        assert checker.check_schema(Path(ARTIFACT), doc) == []
 
     def test_metricless_results_fail(self):
         doc = envelope({"note": "nothing numeric"})
@@ -220,10 +153,10 @@ class TestRun:
         base_dir = tmp_path / "base"
         fresh_dir = tmp_path / "fresh"
         write_artifacts(
-            base_dir, "BENCH_serve.json", envelope(serve_results(rps=1000.0))
+            base_dir, ARTIFACT, envelope(timing_results(rps=1000.0))
         )
         write_artifacts(
-            fresh_dir, "BENCH_serve.json", envelope(serve_results(rps=100.0))
+            fresh_dir, ARTIFACT, envelope(timing_results(rps=100.0))
         )
         out = io.StringIO()
         code = checker.run(
@@ -235,9 +168,9 @@ class TestRun:
     def test_fresh_comparison_clean_passes(self, tmp_path):
         base_dir = tmp_path / "base"
         fresh_dir = tmp_path / "fresh"
-        doc = envelope(serve_results())
-        write_artifacts(base_dir, "BENCH_serve.json", doc)
-        write_artifacts(fresh_dir, "BENCH_serve.json", doc)
+        doc = envelope(timing_results())
+        write_artifacts(base_dir, ARTIFACT, doc)
+        write_artifacts(fresh_dir, ARTIFACT, doc)
         code = checker.run(
             base_dir, fresh_dir, tolerance=0.25, schema_only=False,
             out=io.StringIO(),
@@ -248,7 +181,7 @@ class TestRun:
         base_dir = tmp_path / "base"
         (tmp_path / "fresh").mkdir()
         write_artifacts(
-            base_dir, "BENCH_serve.json", envelope(serve_results())
+            base_dir, ARTIFACT, envelope(timing_results())
         )
         out = io.StringIO()
         code = checker.run(

@@ -1,6 +1,6 @@
 """Quantized inference: observers, per-channel int8, compiled plans.
 
-The serving fleet ships int8 payloads and scores them on compiled plans,
+The serving registry ships int8 payloads and scores them on compiled plans,
 which is only sound because (a) per-channel quantization has a bounded,
 deterministic reconstruction error, (b) the float32 plan is bitwise-
 identical to the conventional pooled float32 forward (so every plan

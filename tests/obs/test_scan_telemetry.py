@@ -72,7 +72,7 @@ class TestScanTelemetry:
         scanner.scan(make_test_layout())
         stages = summarize_spans(captured_events.events)
         for stage in (
-            "farm.fingerprint",
+            "farm.scan/farm.fingerprint",
             "farm.scan",
             "farm.scan/farm.shard/scan.grid",
             "farm.scan/farm.shard/scan.inference",
@@ -80,6 +80,26 @@ class TestScanTelemetry:
         ):
             assert stage in stages, stages.keys()
         assert stages["farm.scan"]["count"] == 1
+
+    def test_one_scan_is_one_trace(
+        self, tmp_path, captured_events, fresh_registry
+    ):
+        # Cache, journal and a worker pool: every stage of the scan, in
+        # this process or a shard worker, joins the farm.scan trace.
+        farm = make_farm(workers=2, tile_blocks=2, cache_dir=tmp_path / "cache")
+        farm.scan(make_test_layout(), journal=tmp_path / "scan.journal")
+        spans = [e for e in captured_events.events if e.name == "span"]
+        root = next(e for e in spans if e.attrs["path"] == "farm.scan")
+        assert {e.attrs["trace_id"] for e in spans} == {root.attrs["trace_id"]}
+        paths = {e.attrs["path"] for e in spans}
+        for stage in (
+            "farm.scan/farm.fingerprint",
+            "farm.scan/farm.journal",
+            "farm.scan/farm.cache_read",
+            "farm.scan/farm.shard",
+            "farm.scan/farm.cache_write",
+        ):
+            assert stage in paths, sorted(paths)
 
     def test_scan_complete_and_snapshot_events(
         self, scanner, captured_events, fresh_registry

@@ -11,8 +11,6 @@ from repro.obs.tracing import (
     emit_span,
     format_traceparent,
     parse_traceparent,
-    set_trace_ids,
-    trace_ids_enabled,
     use_trace,
 )
 
@@ -57,20 +55,6 @@ class TestIds:
         inner_event, outer_event = _span_events(captured_events)
         assert inner_event.attrs["trace_id"] == outer_event.attrs["trace_id"]
         assert inner_event.attrs["parent_id"] == outer_event.attrs["span_id"]
-
-    def test_disabled_ids_leave_fields_empty(
-        self, captured_events, fresh_registry
-    ):
-        previous = set_trace_ids(False)
-        try:
-            assert not trace_ids_enabled()
-            with span("quiet") as record:
-                pass
-        finally:
-            set_trace_ids(previous)
-        assert record.trace_id == "" and record.span_id == ""
-        event = _span_events(captured_events)[-1]
-        assert "trace_id" not in event.attrs
 
 
 class TestTraceparent:

@@ -1,5 +1,5 @@
 """ServeClient retry behaviour against a scripted fake transport: honors
-Retry-After on 429/503, falls back to capped exponential backoff, and
+Retry-After on 503, falls back to capped exponential backoff, and
 never retries non-transient statuses."""
 
 import json
@@ -54,7 +54,7 @@ class TestRetryAfter:
     def test_honors_retry_after_header(self):
         transport = FakeTransport(
             [
-                (429, {"Retry-After": "3"}, {"error": "RateLimited"}),
+                (503, {"Retry-After": "3"}, {"error": "QueueFullError"}),
                 _ok_predict(),
             ]
         )
@@ -79,7 +79,7 @@ class TestRetryAfter:
     def test_header_lookup_is_case_insensitive(self):
         transport = FakeTransport(
             [
-                (429, {"retry-after": "1.5"}, {"error": "RateLimited"}),
+                (503, {"retry-after": "1.5"}, {"error": "QueueFullError"}),
                 _ok_predict(),
             ]
         )
@@ -91,9 +91,9 @@ class TestRetryAfter:
         transport = FakeTransport(
             [
                 (
-                    429,
+                    503,
                     {"Retry-After": "Fri, 08 Aug 2026 00:00:00 GMT"},
-                    {"error": "RateLimited"},
+                    {"error": "QueueFullError"},
                 ),
                 _ok_predict(),
             ]
@@ -130,19 +130,19 @@ class TestExponentialBackoff:
 
     def test_gives_up_after_retries_and_raises(self):
         transport = FakeTransport(
-            [(429, {"Retry-After": "1"}, {"error": "RateLimited"})] * 3
+            [(503, {"Retry-After": "1"}, {"error": "QueueFullError"})] * 3
         )
         client, sleeps = _client(transport, retries=2)
         with pytest.raises(ServeClientError) as excinfo:
             client.predict_tensors(BATCH)
-        assert excinfo.value.status == 429
+        assert excinfo.value.status == 503
         assert excinfo.value.retry_after == 1.0
         assert len(transport.requests) == 3  # initial + 2 retries
         assert sleeps == [1.0, 1.0]
 
 
 class TestNonRetryable:
-    @pytest.mark.parametrize("status", [400, 404, 500])
+    @pytest.mark.parametrize("status", [400, 404, 429, 500])
     def test_never_retries_non_transient(self, status):
         transport = FakeTransport(
             [(status, {}, {"error": "Nope", "detail": "bad"})]
@@ -155,14 +155,14 @@ class TestNonRetryable:
         assert sleeps == []
 
     def test_zero_retries_raises_immediately(self):
-        transport = FakeTransport([(429, {}, {"error": "RateLimited"})])
+        transport = FakeTransport([(503, {}, {"error": "QueueFullError"})])
         client, sleeps = _client(transport)  # retries=0 default
         with pytest.raises(ServeClientError):
             client.predict_tensors(BATCH)
         assert sleeps == []
 
     def test_retryable_statuses_documented(self):
-        assert RETRYABLE_STATUSES == (429, 503)
+        assert RETRYABLE_STATUSES == (503,)
 
 
 class TestValidation:

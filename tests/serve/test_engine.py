@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.detector import HotspotDetector
 from repro.exceptions import EngineClosedError, QueueFullError, ServeError
-from repro.serve import EngineConfig, InferenceEngine
+from repro.serve import EngineConfig, InferenceEngine, ModelRegistry
 
 
 def scratch_detector(trained):
@@ -129,10 +129,14 @@ class TestBatching:
 
 
 class GatedDetector:
-    """Blocks the first batch until released, so queues can be staged."""
+    """Blocks the first batch until released, so queues can be staged.
 
-    def __init__(self, trained):
-        self.detector = scratch_detector(trained)
+    Gates a scratch copy of ``trained``, or ``trained`` itself with
+    ``copy=False`` (a registry's freshly loaded detector).
+    """
+
+    def __init__(self, trained, copy=True):
+        self.detector = scratch_detector(trained) if copy else trained
         self.entered = threading.Event()
         self.release = threading.Event()
         original = self.detector.predict_proba_tensors
@@ -163,6 +167,33 @@ class TestBackpressure:
         gate.release.set()
         for future in [first] + queued:
             assert future.result(10).shape == (1, 2)
+        engine.close()
+
+
+class TestHotSwap:
+    def test_future_names_the_version_that_scored_it(
+        self, tmp_path, trained_detector, second_detector, feature_batch
+    ):
+        registry = ModelRegistry(tmp_path / "models")
+        registry.publish(trained_detector, "v1")
+        registry.publish(second_detector, "v2")
+        gate = GatedDetector(registry.activate("v1").detector, copy=False)
+        engine = InferenceEngine(
+            registry, EngineConfig(max_batch=1, max_wait_ms=0.0, workers=1)
+        )
+        scored_by_v1 = engine.submit(feature_batch[:1])
+        assert gate.entered.wait(10)
+        # v2 goes live while v1 is still scoring the first batch.
+        registry.activate("v2")
+        gate.release.set()
+        rows = scored_by_v1.result(10)
+        assert scored_by_v1.version == "v1"
+        assert np.array_equal(
+            rows, trained_detector.predict_proba_tensors(feature_batch[:1])
+        )
+        scored_by_v2 = engine.submit(feature_batch[:1])
+        scored_by_v2.result(10)
+        assert scored_by_v2.version == "v2"
         engine.close()
 
 

@@ -230,8 +230,10 @@ class TestAcceptanceHotSwap:
                 try:
                     for j in range(25):
                         i = (slot * 25 + j) % n
-                        rows = local.predict_tensors(feature_batch[i])
-                        # Every answer comes wholly from one model version.
+                        detail = local.predict_tensors_detail(feature_batch[i])
+                        rows = np.asarray(detail["probabilities"])
+                        # Every answer comes wholly from one model version,
+                        # and names the version that scored it.
                         matches = [
                             version
                             for version, probs in offline.items()
@@ -240,6 +242,7 @@ class TestAcceptanceHotSwap:
                             )
                         ]
                         assert matches, f"request {i} matched neither model"
+                        assert matches == [detail["version"]], (i, detail)
                 except Exception as exc:
                     errors.append(exc)
 

@@ -1,10 +1,11 @@
-"""Quantized serving: publish -> checkpoint -> shm -> replica, gated.
+"""Quantized serving: publish -> checkpoint -> registry, gated.
 
 The low-precision serving chain is only trustworthy if the int8 bytes
 are identical at every hop (what the parity report described is what
-every replica scores), if unproven checkpoints are refused at activation
-time, and if none of it perturbs the default float64 path. Each link is
-pinned here; the end-to-end drive lives in ``scripts/ci_quant_smoke.py``.
+the registry's model scores), if unproven checkpoints are refused at
+activation time, and if none of it perturbs the default float64 path.
+Each link is pinned here; the end-to-end drive lives in
+``scripts/ci_quant_smoke.py``.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 
 from repro.core.detector import HotspotDetector
 from repro.core.parity import ParityConfig, check_parity
-from repro.exceptions import FleetError, ParityError, ServeError
-from repro.serve import FleetConfig, ModelRegistry
-from repro.serve.shm import SharedModel
+from repro.exceptions import ParityError, ServeError
+from repro.nn.serialize import read_checkpoint
+from repro.serve import ModelRegistry
 
 
 @pytest.fixture()
@@ -31,7 +32,7 @@ def quant_registry(tmp_path, trained_detector, feature_batch):
 
 class TestQuantizedPublish:
     def test_checkpoint_carries_payload_and_parity(self, quant_registry):
-        state = quant_registry.read_state("v-quant")
+        state = read_checkpoint(quant_registry.path_for("v-quant"))
         quant = state["quant"]
         assert quant["params"], "int8 payload missing"
         assert set(quant["parity"]) == {"float32", "float16", "int8"}
@@ -64,86 +65,21 @@ class TestQuantizedPublish:
 
 
 class TestBitwiseRoundTrip:
-    def test_checkpoint_shm_replica_all_equal(
+    def test_checkpoint_round_trip_is_bitwise(
         self, quant_registry, trained_detector, feature_batch
     ):
-        # One int8 answer, three transports: local attach, checkpoint
-        # reload, and a shared-memory replica must agree bit for bit.
+        # One int8 answer, two transports: the local attach and the
+        # checkpoint reload must agree bit for bit.
         local = trained_detector.predict_proba_tensors(
             feature_batch, precision="int8"
         )
         reloaded = HotspotDetector.from_state(
-            quant_registry.read_state("v-quant")
+            read_checkpoint(quant_registry.path_for("v-quant"))
         )
         assert np.array_equal(
             reloaded.predict_proba_tensors(feature_batch, precision="int8"),
             local,
         )
-        segment = SharedModel.publish(
-            quant_registry.read_state("v-quant"), "v-quant", precision="int8"
-        )
-        try:
-            attached = SharedModel.attach(segment.name)
-            try:
-                replica = attached.detector()
-                assert replica.config.infer_precision == "int8"
-                assert np.array_equal(
-                    replica.predict_proba_tensors(feature_batch), local
-                )
-                del replica
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_float16_replica_matches_local(
-        self, quant_registry, trained_detector, feature_batch
-    ):
-        local = trained_detector.predict_proba_tensors(
-            feature_batch, precision="float16"
-        )
-        segment = SharedModel.publish(
-            quant_registry.read_state("v-quant"), "v-quant",
-            precision="float16",
-        )
-        try:
-            attached = SharedModel.attach(segment.name)
-            try:
-                replica = attached.detector()
-                assert np.array_equal(
-                    replica.predict_proba_tensors(feature_batch), local
-                )
-                del replica
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_int8_segment_at_least_4x_smaller(self, quant_registry):
-        state = quant_registry.read_state("v-quant")
-        seg64 = SharedModel.publish(state, "v-quant")
-        seg8 = SharedModel.publish(state, "v-quant", precision="int8")
-        try:
-            assert seg64.precision == "float64"
-            assert seg8.precision == "int8"
-            assert seg8.nbytes * 4 < seg64.nbytes
-        finally:
-            seg8.close()
-            seg8.unlink()
-            seg64.close()
-            seg64.unlink()
-
-    def test_int8_segment_requires_stored_payload(
-        self, tmp_path, trained_detector
-    ):
-        registry = ModelRegistry(tmp_path / "m")
-        registry.publish(trained_detector, "v-plain")
-        with pytest.raises(FleetError, match="no int8 payload"):
-            SharedModel.publish(
-                registry.read_state("v-plain"), "v-plain", precision="int8"
-            )
 
 
 class TestParityGate:
@@ -182,7 +118,8 @@ class TestParityGate:
             calibration=feature_batch,
             parity_config=ParityConfig(max_prob_delta=1e-12),
         )
-        report = registry.read_state("v-strict")["quant"]["parity"]["int8"]
+        state = read_checkpoint(registry.path_for("v-strict"))
+        report = state["quant"]["parity"]["int8"]
         assert report["passed"] is False
         with pytest.raises(ParityError) as info:
             ModelRegistry(
@@ -195,10 +132,6 @@ class TestParityGate:
         with pytest.raises(ServeError, match="precision"):
             ModelRegistry(tmp_path / "m", infer_precision="int4")
 
-    def test_fleet_config_rejects_bad_precision(self):
-        with pytest.raises(ServeError, match="precision"):
-            FleetConfig(infer_precision="double")
-
     def test_check_parity_rejects_float64(
         self, trained_detector, feature_batch
     ):
@@ -210,7 +143,7 @@ class TestBackCompat:
     def test_config_dict_without_precision_defaults_float64(
         self, quant_registry
     ):
-        state = quant_registry.read_state("v-quant")
+        state = read_checkpoint(quant_registry.path_for("v-quant"))
         assert state["config"]["infer_precision"] == "float64"
         del state["config"]["infer_precision"]
         detector = HotspotDetector.from_state(state)
@@ -223,35 +156,10 @@ class TestBackCompat:
         # "quant" key at all; it must load and score exactly as before.
         registry = ModelRegistry(tmp_path / "m")
         registry.publish(trained_detector, "v-plain")
-        state = registry.read_state("v-plain")
+        state = read_checkpoint(registry.path_for("v-plain"))
         assert "quant" not in state or not state["quant"]
         loaded = registry.load_model("v-plain")
         assert np.array_equal(
             loaded.detector.predict_proba_tensors(feature_batch),
             trained_detector.predict_proba_tensors(feature_batch),
         )
-
-    def test_float64_shm_segment_has_no_quant_header(
-        self, tmp_path, trained_detector, feature_batch
-    ):
-        # The float64 segment layout predates quantization and is pinned:
-        # replicas built from it must not see any precision metadata.
-        registry = ModelRegistry(tmp_path / "m")
-        registry.publish(trained_detector, "v-plain")
-        segment = SharedModel.publish(registry.read_state("v-plain"), "v1")
-        try:
-            assert segment.precision == "float64"
-            attached = SharedModel.attach(segment.name)
-            try:
-                replica = attached.detector()
-                assert replica.config.infer_precision == "float64"
-                assert np.array_equal(
-                    replica.predict_proba_tensors(feature_batch),
-                    trained_detector.predict_proba_tensors(feature_batch),
-                )
-                del replica
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
