@@ -151,7 +151,7 @@ def bench_detector_config(tiny=False):
     iterations = 80 if tiny else 400
     return DetectorConfig(
         feature=FeatureTensorConfig(
-            block_count=12, coefficients=16, pixel_nm=4, dct_backend="matmul"
+            block_count=12, coefficients=16, pixel_nm=4
         ),
         learning_rate=2e-3,
         lr_decay_every=max(1, int(iterations * 0.4)),

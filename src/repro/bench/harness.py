@@ -42,19 +42,18 @@ def bench_detector_config(
     seed: int = 0,
     max_iterations: int | None = None,
     compute_dtype: str = "float64",
-    dct_backend: str = "scipy",
 ) -> DetectorConfig:
     """The CNN configuration used by the benchmark experiments.
 
     Paper hyper-parameters (α = 0.5, δε = 0.1, 25 % validation) with the
     iteration budget and LR-decay step scaled to the suite sizes this
-    reproduction trains on. ``compute_dtype`` and ``dct_backend`` select
-    the numeric precision of the network and the DCT implementation of
-    the feature build; the defaults keep the historical bitwise path.
+    reproduction trains on. ``compute_dtype`` selects the numeric
+    precision of the network; the float64 default keeps the historical
+    bitwise path.
     """
     iterations = max_iterations if max_iterations is not None else bench_iterations()
     return DetectorConfig(
-        feature=FeatureTensorConfig(dct_backend=dct_backend),
+        feature=FeatureTensorConfig(),
         compute_dtype=compute_dtype,
         learning_rate=2e-3,
         lr_alpha=0.5,

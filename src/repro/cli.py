@@ -96,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bitwise path; float32 roughly doubles training throughput)",
     )
     train.add_argument(
-        "--feature-backend", choices=("scipy", "matmul"), default="scipy",
-        help="DCT implementation for the feature build (matmul: cached-"
-             "basis GEMM, several times faster on small blocks)",
-    )
-    train.add_argument(
         "--publish-dir", metavar="DIR", default=None,
         help="also publish the trained model into a serving registry DIR",
     )
@@ -146,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record completed batches to PATH (JSONL, fsync-ed)",
     )
     scan.add_argument(
-        "--feature-backend", choices=("scipy", "matmul"), default="scipy",
-        help="DCT implementation for window feature extraction",
-    )
-    scan.add_argument(
         "--resume", action="store_true",
         help="skip windows already recorded in --journal",
     )
@@ -192,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="DIR", default=None,
         help="shared window-probability cache: layouts that repeat "
              "geometry (chip revisions) reuse each other's windows",
-    )
-    scan_batch.add_argument(
-        "--feature-backend", choices=("scipy", "matmul"), default="scipy",
-        help="DCT implementation for window feature extraction",
     )
 
     active = sub.add_parser(
@@ -408,7 +395,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         max_iterations=args.iterations,
         compute_dtype=args.compute_dtype,
-        dct_backend=args.feature_backend,
     )
     if args.resume and not args.checkpoint_dir:
         _say("--resume needs --checkpoint-dir")
@@ -441,7 +427,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path, dct_backend="scipy"):
+def _load_model(path):
     """Load either model format the CLI writes.
 
     ``train`` saves weights-only npz files that assume the bench-harness
@@ -456,9 +442,7 @@ def _load_model(path, dct_backend="scipy"):
     try:
         return HotspotDetector.load_checkpoint(path)
     except CheckpointError:
-        return HotspotDetector(
-            bench_detector_config(dct_backend=dct_backend)
-        ).load(path)
+        return HotspotDetector(bench_detector_config()).load(path)
 
 
 def _cmd_evaluate(args) -> int:
@@ -511,7 +495,7 @@ def _cmd_scan(args) -> int:
     from repro.geometry.layoutio import read_chip
     from repro.scanfarm import ScanFarm
 
-    detector = _load_model(args.model, dct_backend=args.feature_backend)
+    detector = _load_model(args.model)
     if args.infer_precision:
         detector.set_infer_precision(args.infer_precision)
         _say(f"scanning at infer precision {args.infer_precision}")
@@ -553,7 +537,7 @@ def _cmd_scan_batch(args) -> int:
     from repro.geometry.layoutio import read_chip
     from repro.scanfarm import ScanFarm
 
-    detector = _load_model(args.model, dct_backend=args.feature_backend)
+    detector = _load_model(args.model)
     farm = ScanFarm(
         detector,
         threshold=args.threshold,
@@ -602,7 +586,6 @@ def _cmd_active(args) -> int:
             block_count=12,
             coefficients=args.coefficients,
             pixel_nm=args.pixel_nm,
-            dct_backend="matmul",
         ),
         learning_rate=2e-3,
         lr_decay_every=max(1, int(iterations * 0.4)),

@@ -18,6 +18,11 @@ from repro.features.tensor import FeatureTensorConfig
 from repro.nn.trainer import TrainerConfig
 
 
+#: Values of the retired ``feature.dct_backend`` key that stored configs
+#: may carry; :meth:`DetectorConfig.from_dict` accepts and drops them.
+_RETIRED_DCT_BACKENDS = ("scipy", "matmul")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """End-to-end configuration of :class:`~repro.core.detector.HotspotDetector`.
@@ -132,13 +137,23 @@ class DetectorConfig:
         Unknown keys (a checkpoint written by a newer build) raise
         :class:`~repro.exceptions.ConfigError` rather than being silently
         dropped — a served model must run under exactly the configuration
-        it was trained with.
+        it was trained with. The one retired key, ``feature.dct_backend``,
+        is dropped when it holds a value older builds wrote (``"scipy"``
+        or ``"matmul"``): both backends computed the coefficients today's
+        single kernel computes, to within one float32 ulp (plus 1e-10).
         """
         if not isinstance(data, Mapping):
             raise ConfigError(f"detector config must be a mapping, got {type(data).__name__}")
         fields = dict(data)
         try:
-            feature = FeatureTensorConfig(**fields.pop("feature", {}))
+            feature_fields = dict(fields.pop("feature", {}))
+            backend = feature_fields.pop("dct_backend", "scipy")
+            if backend not in _RETIRED_DCT_BACKENDS:
+                raise ConfigError(
+                    f"bad detector config: unknown feature.dct_backend "
+                    f"{backend!r}"
+                )
+            feature = FeatureTensorConfig(**feature_fields)
             trainer = TrainerConfig(**fields.pop("trainer", {}))
             return cls(feature=feature, trainer=trainer, **fields)
         except TypeError as exc:

@@ -1,4 +1,4 @@
-"""2-D discrete cosine transform helpers.
+"""2-D discrete cosine transform: the block-DCT feature kernel and its oracle.
 
 Pinned to the type-II transform with orthonormal scaling, so that
 ``idct2(dct2(x)) == x`` exactly (up to floating point) and Parseval's
@@ -8,61 +8,35 @@ rests on, and which the test suite checks.
 The paper's Step 2 writes the unnormalised type-II DCT; the normalisation
 choice only rescales coefficients and does not change which ones are kept.
 
-Two interchangeable backends compute the transform:
+:func:`block_dct` is the only feature path. The feature tensor keeps the
+first ``k`` zig-zag coefficients of each ``B x B`` block, and those all
+sit in the top-left ``u x v`` corner of the block's spectrum (``u`` and
+``v`` are one more than the largest zig-zag row and column index among
+the first ``k``: 8 x 8 for ``k = 32``). The orthonormal DCT is separable,
+``C = D @ X @ D.T`` for the basis ``D`` of :func:`dct_basis`, so that
+corner is ``D[:u] @ X @ D[:v].T``. For each block-row band of the image
+the kernel runs one GEMM down the rows (``D[:u]`` times the ``B x W``
+band), one GEMM across the columns of every block in the band at once,
+and a gather of the ``k`` zig-zag entries. Its working set is one float64
+band (or 1 MiB of small-block bands); the full ``B x B`` spectrum is
+never formed. :func:`block_idct` is its adjoint (the zero-filled
+inverse) and serves feature-tensor decode.
 
-- ``"scipy"`` — :func:`scipy.fft.dctn`, the original implementation;
-- ``"matmul"`` — a cached orthonormal basis matrix ``B`` applied as
-  ``B @ X @ B.T`` over the stacked blocks. For the tiny blocks the
-  feature tensor uses (4–16 px) the per-call FFT dispatch dominates, and
-  one batched BLAS GEMM is several times faster; the two agree to
-  ~1e-14 (both are exact orthonormal DCTs, differing only in summation
-  order). :func:`truncated_dct_operator` goes one step further and fuses
-  DCT + zig-zag + truncation into a single ``(k, B*B)`` projection, which
-  is what :func:`repro.features.tensor.encode_block_grid` multiplies by.
-
-The module default backend is ``"scipy"`` (historical behaviour); switch
-it process-wide with :func:`set_default_dct_backend` or per call with the
-``backend=`` argument.
+:func:`dct2` and :func:`idct2` wrap :func:`scipy.fft.dctn` /
+:func:`scipy.fft.idctn`. They are the reference the tests hold the kernel
+to; no encode or decode path calls them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from repro.exceptions import FeatureError
-
-#: Recognised DCT backends.
-DCT_BACKENDS: Tuple[str, ...] = ("scipy", "matmul")
-
-_default_backend = "scipy"
-
-
-def get_default_dct_backend() -> str:
-    """The backend used when ``backend=None`` is passed (or omitted)."""
-    return _default_backend
-
-
-def set_default_dct_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = resolve_dct_backend(backend)
-    return previous
-
-
-def resolve_dct_backend(backend: Optional[str]) -> str:
-    """Normalise a ``backend`` argument, validating it loudly."""
-    if backend is None:
-        return _default_backend
-    if backend not in DCT_BACKENDS:
-        raise FeatureError(
-            f"unknown DCT backend {backend!r}; expected one of {DCT_BACKENDS}"
-        )
-    return backend
+from repro.features.zigzag import zigzag_indices
 
 
 # ----------------------------------------------------------------------
@@ -87,61 +61,135 @@ def dct_basis(block_size: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=None)
-def truncated_dct_operator(block_size: int, k: int) -> np.ndarray:
-    """Fused DCT + zig-zag + truncate projection, shape ``(k, B*B)``.
+class TruncatedDCT(NamedTuple):
+    """What :func:`block_dct` needs to keep ``k`` coefficients of a block.
 
-    Row ``i`` is the (flattened) outer product of the basis rows selected
-    by the ``i``-th zig-zag position, so for a flattened block ``x`` of
-    length ``B*B`` the product ``operator @ x`` yields exactly
-    ``zigzag_flatten(dct2(block))[:k]``. Its transpose is the adjoint
-    decoder: ``operator.T @ coeffs`` reconstructs the zero-filled inverse
-    block (see :meth:`~repro.features.tensor.FeatureTensorExtractor.
-    decode`). Cached and returned read-only.
+    ``row_basis`` is ``dct_basis(B)[:u]`` and ``col_basis`` is
+    ``dct_basis(B)[:v]``; coefficient ``i`` of the zig-zag scan is entry
+    ``(rows[i], cols[i])`` of the ``u x v`` spectrum corner.
     """
-    from repro.features.zigzag import zigzag_indices
 
-    if k < 1 or k > block_size * block_size:
+    row_basis: np.ndarray
+    col_basis: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def truncated_dct(block_size: int, k: int) -> TruncatedDCT:
+    """Cached, read-only :class:`TruncatedDCT` for ``k`` of ``B*B`` terms."""
+    if not 1 <= k <= block_size * block_size:
         raise FeatureError(
             f"k={k} outside [1, {block_size * block_size}] for B={block_size}"
         )
     basis = dct_basis(block_size)
-    rows, cols = zigzag_indices(block_size)
-    operator = (
-        basis[rows[:k], :, None] * basis[cols[:k], None, :]
-    ).reshape(k, block_size * block_size)
-    operator = np.ascontiguousarray(operator)
-    operator.setflags(write=False)
-    return operator
+    zig_rows, zig_cols = zigzag_indices(block_size)
+    rows = zig_rows[:k].copy()
+    cols = zig_cols[:k].copy()
+    plan = TruncatedDCT(
+        row_basis=np.ascontiguousarray(basis[: rows.max() + 1]),
+        col_basis=np.ascontiguousarray(basis[: cols.max() + 1]),
+        rows=rows,
+        cols=cols,
+    )
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
-def _require_square_blocks(x: np.ndarray, what: str) -> int:
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+#: Float64 bytes :func:`block_dct` converts per step. A step is one band
+#: at the default geometry (100 x 1600 px is 1.25 MiB) and many bands of
+#: small blocks, whose few-KiB bands would otherwise spend more time in
+#: per-call overhead than in the GEMMs.
+_BANDS_BYTES = 1 << 20
+
+
+# ----------------------------------------------------------------------
+# The feature kernel
+# ----------------------------------------------------------------------
+def block_dct(images: np.ndarray, block: int, k: int) -> np.ndarray:
+    """First ``k`` zig-zag DCT coefficients of every block of every image.
+
+    ``images`` is ``(N, H, W)`` with ``H`` and ``W`` multiples of
+    ``block``; returns float32 ``(N, H // block, W // block, k)``, equal
+    to ``zigzag_flatten(dct2(blocks))[..., :k]`` within one float32 ulp
+    (plus 1e-10). Each image goes through the same BLAS calls as it would
+    alone, so ``block_dct(images)[i]`` equals ``block_dct(images[i:i+1])[0]``
+    bit for bit.
+    """
+    images = np.asarray(images)
+    if images.ndim != 3:
         raise FeatureError(
-            f"{what} expects square blocks on the last two axes, "
-            f"got shape {x.shape}"
+            f"expected (N, H, W) image stack, got shape {images.shape}"
         )
-    return x.shape[-1]
+    n, height, width = images.shape
+    if block < 1:
+        raise FeatureError(f"block size must be >= 1, got {block}")
+    if height % block or width % block:
+        raise FeatureError(
+            f"images {height}x{width} not divisible into {block}-pixel blocks"
+        )
+    rows, cols = height // block, width // block
+    plan = truncated_dct(block, k)
+    u, v = len(plan.row_basis), len(plan.col_basis)
+    col_basis_t = plan.col_basis.T
+    band_bytes = max(1, n * block * width * np.dtype(np.float64).itemsize)
+    step = max(1, min(rows, _BANDS_BYTES // band_bytes))
+    out = np.empty((n, rows, cols, k), dtype=np.float32)
+    buffer = np.empty((n, step, block, width))
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        bands = buffer[:, : r1 - r0]
+        np.copyto(
+            bands, images[:, r0 * block : r1 * block].reshape(bands.shape)
+        )
+        # Down the rows of every block in a band: (u, B) @ (B, W).
+        left = plan.row_basis @ bands
+        # Across the columns of each block: (u * cols, B) @ (B, v).
+        corner = left.reshape(n, r1 - r0, u * cols, block) @ col_basis_t
+        corner = corner.reshape(n, r1 - r0, u, cols, v)
+        # Zig-zag gather of the kept entries: (k, N, bands, cols) puts k
+        # first, so move it last.
+        kept = corner[:, :, plan.rows, :, plan.cols]
+        out[:, r0:r1] = kept.transpose(1, 2, 3, 0)
+    return out
+
+
+def block_idct(coefficients: np.ndarray, block: int) -> np.ndarray:
+    """Adjoint of :func:`block_dct`: the zero-filled inverse DCT.
+
+    ``coefficients`` is ``(N, rows, cols, k)``; returns float64
+    ``(N, rows * block, cols * block)``, each block rebuilt from its
+    first ``k`` zig-zag coefficients with the rest taken as zero. With
+    ``k = block**2`` it inverts :func:`block_dct` exactly (up to the
+    float32 storage of the coefficients).
+    """
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if coefficients.ndim != 4:
+        raise FeatureError(
+            f"expected (N, rows, cols, k) coefficients, got shape "
+            f"{coefficients.shape}"
+        )
+    n, rows, cols, k = coefficients.shape
+    plan = truncated_dct(block, k)
+    u, v = len(plan.row_basis), len(plan.col_basis)
+    corner = np.zeros((n, rows, u, cols, v))
+    corner[:, :, plan.rows, :, plan.cols] = coefficients.transpose(3, 0, 1, 2)
+    across = corner.reshape(n, rows * u * cols, v) @ plan.col_basis
+    image = plan.row_basis.T @ across.reshape(n, rows, u, cols * block)
+    return image.reshape(n, rows * block, cols * block)
 
 
 # ----------------------------------------------------------------------
-# Transforms
+# The scipy reference
 # ----------------------------------------------------------------------
-def dct2(block: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
-    """Orthonormal 2-D type-II DCT over the last two axes."""
-    backend = resolve_dct_backend(backend)
-    if backend == "matmul":
-        basis = dct_basis(_require_square_blocks(block, "dct2"))
-        return basis @ block @ basis.T
+def dct2(block: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D type-II DCT over the last two axes (scipy)."""
     return sp_fft.dctn(block, type=2, norm="ortho", axes=(-2, -1))
 
 
-def idct2(coefficients: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
-    """Inverse of :func:`dct2` (orthonormal 2-D type-III DCT)."""
-    backend = resolve_dct_backend(backend)
-    if backend == "matmul":
-        basis = dct_basis(_require_square_blocks(coefficients, "idct2"))
-        return basis.T @ coefficients @ basis
+def idct2(coefficients: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`dct2` (orthonormal 2-D type-III DCT, scipy)."""
     return sp_fft.idctn(coefficients, type=2, norm="ortho", axes=(-2, -1))
 
 

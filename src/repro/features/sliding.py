@@ -250,10 +250,7 @@ class SlidingFeatureExtractor:
                 image = rasterize_rects(rects, window, self.config.pixel_nm)
                 rastered = time.perf_counter()
                 coefficients = encode_block_grid(
-                    image,
-                    self.block_px,
-                    self.config.coefficients,
-                    backend=self.config.dct_backend,
+                    image, self.block_px, self.config.coefficients
                 )
                 break
             except Exception as exc:

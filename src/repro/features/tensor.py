@@ -22,17 +22,9 @@ from typing import Tuple
 
 import numpy as np
 
-from typing import Optional
-
 from repro.exceptions import FeatureError
 from repro.geometry.clip import Clip
-from repro.features.dct import (
-    dct2,
-    idct2,
-    resolve_dct_backend,
-    truncated_dct_operator,
-)
-from repro.features.zigzag import zigzag_flatten, zigzag_unflatten
+from repro.features.dct import block_dct, block_idct
 
 
 @dataclass(frozen=True)
@@ -50,17 +42,19 @@ class FeatureTensorConfig:
     pixel_nm:
         Rasterisation resolution. 1 nm/px matches the paper's example;
         coarser values trade fidelity for speed and are used in tests.
-    dct_backend:
-        ``"scipy"`` (per-call :func:`scipy.fft.dctn`, historical default)
-        or ``"matmul"`` (cached-basis GEMM — several times faster on the
-        small blocks the tensor uses, numerically equivalent; see
-        :mod:`repro.features.dct`).
+
+    Every feature is computed by :func:`~repro.features.dct.block_dct`.
+    Configs and checkpoints written while a ``dct_backend`` field existed
+    (``"scipy"`` or ``"matmul"``) still load:
+    :meth:`~repro.core.config.DetectorConfig.from_dict` drops the field.
+    Their features now come from the kernel, which stays within one
+    float32 ulp (plus 1e-10) of the scipy oracle, so a migrated model
+    scores the coefficients it was trained on to that tolerance.
     """
 
     block_count: int = 12
     coefficients: int = 32
     pixel_nm: int = 1
-    dct_backend: str = "scipy"
 
     def __post_init__(self) -> None:
         if self.block_count < 1:
@@ -71,8 +65,6 @@ class FeatureTensorConfig:
             )
         if self.pixel_nm < 1:
             raise FeatureError(f"pixel_nm must be >= 1, got {self.pixel_nm}")
-        # Raises FeatureError on unknown names (loud config validation).
-        resolve_dct_backend(self.dct_backend)
 
     def block_size_px(self, clip_size_nm: int) -> int:
         """``B``: pixels per block side for a clip of the given size."""
@@ -96,90 +88,33 @@ class FeatureTensorConfig:
         return block
 
 
-def encode_block_grid(
-    image: np.ndarray, block: int, k: int, backend: Optional[str] = None
-) -> np.ndarray:
+def encode_block_grid(image: np.ndarray, block: int, k: int) -> np.ndarray:
     """DCT + zig-zag + truncate every ``block x block`` tile of ``image``.
 
-    The shared kernel behind both per-clip encoding and the full-chip
-    sliding extractor: the image (square or rectangular, each dimension a
+    The shared entry point of per-clip encoding and the full-chip sliding
+    extractor: the image (square or rectangular, each dimension a
     multiple of ``block``) is cut on the fixed block grid and each block is
-    reduced to its first ``k`` zig-zag DCT coefficients. Returns an array
-    of shape ``(rows, cols, k)`` with ``rows = H // block``.
-
-    With ``backend="matmul"`` the whole DCT + zig-zag + truncation
-    collapses into a single GEMM against the cached ``(k, B*B)``
-    projection of :func:`~repro.features.dct.truncated_dct_operator` —
-    the fast path for feature builds (numerically equivalent to the
-    scipy path to ~1e-14 before the float32 cast).
+    reduced to its first ``k`` zig-zag DCT coefficients by
+    :func:`~repro.features.dct.block_dct`, one block-row band at a time.
+    Returns float32 ``(rows, cols, k)`` with ``rows = H // block``.
     """
-    backend = resolve_dct_backend(backend)
-    if block < 1:
-        raise FeatureError(f"block size must be >= 1, got {block}")
-    h, w = image.shape
-    if h % block or w % block:
-        raise FeatureError(
-            f"image {h}x{w} not divisible into {block}-pixel blocks"
-        )
-    if k > block * block:
-        raise FeatureError(
-            f"k={k} exceeds block capacity {block * block} (B={block})"
-        )
-    rows, cols = h // block, w // block
-    # (rows, B, cols, B) -> (rows, cols, B, B): block grid of per-block images.
-    blocks = image.reshape(rows, block, cols, block).transpose(0, 2, 1, 3)
-    if backend == "matmul":
-        operator = truncated_dct_operator(block, k)
-        flat = np.ascontiguousarray(blocks, dtype=np.float64).reshape(
-            rows * cols, block * block
-        )
-        return (flat @ operator.T).reshape(rows, cols, k).astype(np.float32)
-    coefficients = dct2(blocks.astype(np.float64))
-    scanned = zigzag_flatten(coefficients)
-    return scanned[..., :k].astype(np.float32)
+    image = np.asarray(image)
+    if image.ndim != 2:
+        raise FeatureError(f"expected one (H, W) image, got shape {image.shape}")
+    return block_dct(image[None], block, k)[0]
 
 
-def encode_image_batch(
-    images: np.ndarray, block: int, k: int, backend: Optional[str] = None
-) -> np.ndarray:
+def encode_image_batch(images: np.ndarray, block: int, k: int) -> np.ndarray:
     """Vectorised :func:`encode_block_grid` over a stack of images.
 
     ``images`` is ``(N, H, W)`` with each dimension a multiple of
-    ``block``; returns ``(N, rows, cols, k)``. On the ``"matmul"``
-    backend the entire batch collapses into one GEMM against the cached
-    truncated-DCT projection — the fast path behind active-learning pool
-    embeddings, where thousands of clips are encoded at once. Each slice
-    ``out[i]`` is numerically identical to ``encode_block_grid(images[i],
-    ...)`` on the same backend.
+    ``block``; returns ``(N, rows, cols, k)``. Each band is encoded for
+    the whole stack at once — the path behind active-learning pool
+    embeddings, where thousands of clips are encoded together — and each
+    slice ``out[i]`` equals ``encode_block_grid(images[i], ...)`` bit for
+    bit.
     """
-    backend = resolve_dct_backend(backend)
-    images = np.asarray(images)
-    if images.ndim != 3:
-        raise FeatureError(
-            f"expected (N, H, W) image stack, got shape {images.shape}"
-        )
-    if block < 1:
-        raise FeatureError(f"block size must be >= 1, got {block}")
-    n, h, w = images.shape
-    if h % block or w % block:
-        raise FeatureError(
-            f"images {h}x{w} not divisible into {block}-pixel blocks"
-        )
-    if k > block * block:
-        raise FeatureError(
-            f"k={k} exceeds block capacity {block * block} (B={block})"
-        )
-    rows, cols = h // block, w // block
-    blocks = images.reshape(n, rows, block, cols, block).transpose(0, 1, 3, 2, 4)
-    if backend == "matmul":
-        operator = truncated_dct_operator(block, k)
-        flat = np.ascontiguousarray(blocks, dtype=np.float64).reshape(
-            n * rows * cols, block * block
-        )
-        return (flat @ operator.T).reshape(n, rows, cols, k).astype(np.float32)
-    coefficients = dct2(blocks.astype(np.float64))
-    scanned = zigzag_flatten(coefficients)
-    return scanned[..., :k].astype(np.float32)
+    return block_dct(images, block, k)
 
 
 class FeatureTensorExtractor:
@@ -206,9 +141,8 @@ class FeatureTensorExtractor:
         """Feature tensors for a sequence of clips, shape ``(N, n, n, k)``.
 
         All clips are rasterised once and encoded in a single
-        :func:`encode_image_batch` call (one GEMM on the ``"matmul"``
-        backend), so embedding a whole unlabelled pool costs one batched
-        pass instead of N per-clip pipelines. Clips must share one window
+        :func:`encode_image_batch` call, so embedding a whole unlabelled
+        pool costs one batched pass instead of N per-clip pipelines. Clips must share one window
         size; each row equals :meth:`extract` of the same clip.
         """
         clips = list(clips)
@@ -228,10 +162,7 @@ class FeatureTensorExtractor:
             raise FeatureError(f"images must be square, got {stack.shape[1:]}")
         if h % n:
             raise FeatureError(f"image side {h} not divisible into {n} blocks")
-        return encode_image_batch(
-            stack, h // n, self.config.coefficients,
-            backend=self.config.dct_backend,
-        )
+        return encode_image_batch(stack, h // n, self.config.coefficients)
 
     def encode_image(self, image: np.ndarray) -> np.ndarray:
         """Encode a pre-rasterised square image to an ``(n, n, k)`` tensor."""
@@ -242,7 +173,7 @@ class FeatureTensorExtractor:
             raise FeatureError(f"image must be square, got {image.shape}")
         if h % n:
             raise FeatureError(f"image side {h} not divisible into {n} blocks")
-        return encode_block_grid(image, h // n, k, backend=self.config.dct_backend)
+        return encode_block_grid(image, h // n, k)
 
     def decode(self, tensor: np.ndarray, clip_size_nm: int) -> np.ndarray:
         """Reconstruct the (approximate) clip image from a feature tensor.
@@ -256,17 +187,8 @@ class FeatureTensorExtractor:
                 f"tensor grid {tensor.shape[:2]} does not match n={n}"
             )
         block = self.config.block_size_px(clip_size_nm)
-        size = n * block
-        if self.config.dct_backend == "matmul":
-            # Adjoint of the fused projection: zero-filled zig-zag
-            # unflatten + inverse DCT in one GEMM.
-            operator = truncated_dct_operator(block, tensor.shape[-1])
-            flat = tensor.astype(np.float64).reshape(n * n, -1) @ operator
-            blocks = flat.reshape(n, n, block, block)
-        else:
-            full = zigzag_unflatten(tensor.astype(np.float64), block)
-            blocks = idct2(full)
-        return blocks.transpose(0, 2, 1, 3).reshape(size, size).astype(np.float32)
+        image = block_idct(tensor[None], block)[0]
+        return image.astype(np.float32)
 
     # ------------------------------------------------------------------
     def compression_ratio(self, clip_size_nm: int) -> float:

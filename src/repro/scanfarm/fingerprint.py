@@ -17,6 +17,14 @@ Deliberately **not** in the salt:
 ``stride_nm``
     The digest describes one window's content, which is stride-free; a
     denser re-scan of the same chip reuses every window it has seen.
+
+Caches and journals written while ``FeatureTensorConfig`` still had a
+``dct_backend`` field do not carry over. That field was part of the
+serialised feature config in the salt, so every window of such a
+:class:`~repro.scanfarm.cache.ScanCache` misses and is scored afresh. It
+was also part of the config :func:`model_fingerprint` hashes, so the
+model key in such a journal's header no longer matches and resuming it
+raises :class:`~repro.exceptions.ScanJournalError`.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def data():
 def detector_config():
     return DetectorConfig(
         feature=FeatureTensorConfig(
-            block_count=12, coefficients=16, pixel_nm=4, dct_backend="matmul"
+            block_count=12, coefficients=16, pixel_nm=4
         ),
         learning_rate=2e-3,
         lr_decay_every=100,

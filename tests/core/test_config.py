@@ -93,13 +93,22 @@ class TestDictRoundTrip:
 
     def test_pre_dtype_policy_dicts_still_load(self):
         # Config dicts saved before the compute-dtype policy existed have
-        # no compute_dtype/fused_conv/dct_backend keys; they must load
-        # with the historical (bitwise float64, scipy) defaults.
+        # no compute_dtype/fused_conv/dct_backend keys; dicts saved while
+        # the retired feature.dct_backend key existed carry "scipy" or
+        # "matmul". All of them load, to the same config.
+        for backend in (None, "scipy", "matmul"):
+            data = DetectorConfig().to_dict()
+            for key in ("compute_dtype", "fused_conv"):
+                del data[key]
+            if backend is not None:
+                data["feature"]["dct_backend"] = backend
+            config = DetectorConfig.from_dict(data)
+            assert config == DetectorConfig()
+            assert config.compute_dtype == "float64"
+            assert not config.fused_conv
+
+    def test_unknown_feature_keys_rejected(self):
         data = DetectorConfig().to_dict()
-        for key in ("compute_dtype", "fused_conv"):
-            del data[key]
-        del data["feature"]["dct_backend"]
-        config = DetectorConfig.from_dict(data)
-        assert config.compute_dtype == "float64"
-        assert not config.fused_conv
-        assert config.feature.dct_backend == "scipy"
+        data["feature"]["dct_window"] = "hann"
+        with pytest.raises(ConfigError):
+            DetectorConfig.from_dict(data)

@@ -38,7 +38,7 @@ def make_data():
 def make_loop(warm_start):
     config = DetectorConfig(
         feature=FeatureTensorConfig(
-            block_count=12, coefficients=16, pixel_nm=4, dct_backend="matmul"
+            block_count=12, coefficients=16, pixel_nm=4
         ),
         learning_rate=2e-3,
         lr_decay_every=100,

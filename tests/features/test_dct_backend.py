@@ -1,28 +1,73 @@
-"""Tests for the matmul DCT backend (cached-basis GEMM feature path)."""
+"""Tests for the block-DCT feature kernel against the scipy oracle.
+
+:func:`repro.features.dct.block_dct` is the only feature path; the
+reference it is held to is ``zigzag_flatten(dct2(blocks))[..., :k]``
+computed with :func:`scipy.fft.dctn`. The kernel stores float32 and sums
+in a different order, so it must match the oracle within one float32
+ulp plus 1e-10: ``|kernel - oracle| <= 1e-10 + 2**-22 * |oracle|``.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft as sp_fft
 
-from repro.exceptions import FeatureError
+from repro.core.config import DetectorConfig
+from repro.exceptions import ConfigError, FeatureError
 from repro.features.dct import (
-    DCT_BACKENDS,
+    block_dct,
+    block_idct,
     dct2,
     dct_basis,
-    get_default_dct_backend,
     idct2,
-    resolve_dct_backend,
-    set_default_dct_backend,
-    truncated_dct_operator,
+    truncated_dct,
 )
 from repro.features.tensor import (
     FeatureTensorConfig,
     FeatureTensorExtractor,
     encode_block_grid,
+    encode_image_batch,
 )
 from repro.features.zigzag import zigzag_flatten, zigzag_unflatten
 
 BLOCK_SIZES = [4, 6, 8, 12, 16]
+
+
+def as_blocks(images, block):
+    """``(N, H, W)`` -> float64 ``(N, rows, cols, block, block)``."""
+    n, h, w = images.shape
+    return (
+        np.asarray(images, dtype=np.float64)
+        .reshape(n, h // block, block, w // block, block)
+        .transpose(0, 1, 3, 2, 4)
+    )
+
+
+def from_blocks(blocks):
+    """Inverse of :func:`as_blocks`."""
+    n, rows, cols, block, _ = blocks.shape
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(n, rows * block, cols * block)
+
+
+def oracle(images, block, k):
+    """The scipy reference: full DCT, zig-zag scan, first ``k`` terms."""
+    return zigzag_flatten(dct2(as_blocks(images, block)))[..., :k]
+
+
+def assert_within_ulp(got, reference):
+    assert got.dtype == np.float32
+    assert got.shape == reference.shape
+    excess = np.abs(got - reference) - (1e-10 + 2.0**-22 * np.abs(reference))
+    assert excess.max() <= 0, f"worst excess {excess.max():.3g}"
+
+
+def images_of(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        # Rasterised layout: 0/1 coverage, stored float32.
+        return (rng.random(shape) < 0.4).astype(np.float32)
+    return rng.random(shape) * 255.0
 
 
 class TestMatmulBackendExactness:
@@ -33,138 +78,158 @@ class TestMatmulBackendExactness:
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_dct2_matches_scipy(self, n):
-        block = np.random.default_rng(n).random((n, n)) * 100.0
-        assert np.allclose(
-            dct2(block, backend="matmul"),
-            sp_fft.dctn(block, type=2, norm="ortho", axes=(-2, -1)),
-            atol=1e-10,
+        # At k = B*B the kernel computes the whole spectrum.
+        block = np.random.default_rng(n).random((1, n, n)) * 100.0
+        spectrum = zigzag_unflatten(
+            block_dct(block, n, n * n)[0, 0, 0].astype(np.float64), n
         )
+        reference = sp_fft.dctn(block[0], type=2, norm="ortho", axes=(-2, -1))
+        assert np.allclose(spectrum, reference, rtol=2.0**-22, atol=1e-10)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_idct2_matches_scipy(self, n):
         coeffs = np.random.default_rng(n + 1).random((n, n))
-        assert np.allclose(
-            idct2(coeffs, backend="matmul"),
-            sp_fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1)),
-            atol=1e-10,
-        )
+        rebuilt = block_idct(zigzag_flatten(coeffs)[None, None, None], n)
+        reference = sp_fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+        assert np.allclose(rebuilt[0], reference, atol=1e-10)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_round_trip_is_identity(self, n):
-        block = np.random.default_rng(n + 2).random((n, n))
-        assert np.allclose(
-            idct2(dct2(block, backend="matmul"), backend="matmul"),
-            block,
-            atol=1e-10,
-        )
+        # Exact in float64; block_dct's float32 storage bounds the error.
+        block = np.random.default_rng(n + 2).random((1, n, n))
+        exact = zigzag_flatten(dct2(block))[None, None]
+        assert np.allclose(block_idct(exact, n), block, atol=1e-10)
+        stored = block_dct(block, n, n * n)
+        assert np.allclose(block_idct(stored, n), block, atol=1e-6)
 
     def test_batched_blocks(self):
-        blocks = np.random.default_rng(0).random((3, 2, 8, 8))
-        assert np.allclose(
-            dct2(blocks, backend="matmul"),
-            dct2(blocks, backend="scipy"),
-            atol=1e-10,
-        )
+        images = np.random.default_rng(0).random((3, 16, 24))
+        assert_within_ulp(block_dct(images, 8, 64), oracle(images, 8, 64))
 
 
 class TestTruncatedOperator:
     @pytest.mark.parametrize("n,k", [(4, 5), (8, 16), (12, 32), (16, 100)])
     def test_matches_dctn_plus_zigzag(self, n, k):
         blocks = np.random.default_rng(k).random((3, n, n)) * 10.0
-        operator = truncated_dct_operator(n, k)
-        fused = blocks.reshape(3, n * n) @ operator.T
-        reference = zigzag_flatten(dct2(blocks, backend="scipy"))[..., :k]
-        assert fused.shape == (3, k)
-        assert np.allclose(fused, reference, atol=1e-10)
+        fused = block_dct(blocks, n, k)
+        assert fused.shape == (3, 1, 1, k)
+        assert_within_ulp(fused, oracle(blocks, n, k))
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_full_rank_round_trip(self, n):
-        # k = B*B keeps every coefficient: operator is orthogonal, so the
-        # adjoint reconstructs the block exactly.
-        block = np.random.default_rng(n).random((1, n * n))
-        operator = truncated_dct_operator(n, n * n)
-        assert np.allclose(block @ operator.T @ operator, block, atol=1e-10)
+        # k = B*B keeps every coefficient: the adjoint reconstructs each
+        # block of a multi-block image up to float32 storage.
+        image = np.random.default_rng(n).random((1, 2 * n, 3 * n))
+        coefficients = block_dct(image, n, n * n)
+        assert np.allclose(block_idct(coefficients, n), image, atol=1e-6)
 
     def test_truncated_decode_matches_zigzag_unflatten(self):
         n, k = 8, 10
-        coeffs = np.random.default_rng(1).random((4, k))
-        operator = truncated_dct_operator(n, k)
-        fused = (coeffs @ operator).reshape(4, n, n)
-        reference = idct2(zigzag_unflatten(coeffs, n), backend="scipy")
+        coeffs = np.random.default_rng(1).random((1, 2, 2, k))
+        fused = block_idct(coeffs, n)
+        reference = from_blocks(idct2(zigzag_unflatten(coeffs, n)))
         assert np.allclose(fused, reference, atol=1e-10)
 
     @pytest.mark.parametrize("k", [0, -1, 17])
     def test_k_out_of_range_raises(self, k):
         with pytest.raises(FeatureError):
-            truncated_dct_operator(4, k)
+            truncated_dct(4, k)
+        with pytest.raises(FeatureError):
+            block_dct(np.zeros((1, 8, 8)), 4, k)
 
     def test_operator_is_read_only(self):
-        operator = truncated_dct_operator(4, 4)
-        with pytest.raises(ValueError):
-            operator[0, 0] = 1.0
+        for array in truncated_dct(4, 4):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestBackendPlumbing:
-    def test_known_backends(self):
-        assert set(DCT_BACKENDS) == {"scipy", "matmul"}
-        for backend in DCT_BACKENDS:
-            assert resolve_dct_backend(backend) == backend
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(FeatureError):
-            resolve_dct_backend("fftw")
-
-    def test_default_backend_switch_and_restore(self):
-        block = np.random.default_rng(2).random((6, 6))
-        previous = set_default_dct_backend("matmul")
-        try:
-            assert get_default_dct_backend() == "matmul"
-            assert np.array_equal(dct2(block), dct2(block, backend="matmul"))
-        finally:
-            set_default_dct_backend(previous)
-        assert get_default_dct_backend() == previous
-
-    def test_set_unknown_default_raises(self):
-        with pytest.raises(FeatureError):
-            set_default_dct_backend("fftw")
-
     def test_config_rejects_unknown_backend(self):
-        with pytest.raises(FeatureError):
-            FeatureTensorConfig(dct_backend="fftw")
+        # The knob is gone; stored configs may name a retired backend
+        # ("scipy" / "matmul"), never an unknown one.
+        with pytest.raises(TypeError):
+            FeatureTensorConfig(dct_backend="matmul")
+        data = DetectorConfig().to_dict()
+        data["feature"]["dct_backend"] = "fftw"
+        with pytest.raises(ConfigError):
+            DetectorConfig.from_dict(data)
 
 
 class TestFeatureBuildEquivalence:
     def test_encode_block_grid_backends_agree(self):
+        # The kernel and the scipy reference agree to one float32 ulp.
         image = np.random.default_rng(3).random((48, 48)) * 255.0
-        scipy_tensor = encode_block_grid(image, 12, 32, backend="scipy")
-        matmul_tensor = encode_block_grid(image, 12, 32, backend="matmul")
-        assert scipy_tensor.dtype == matmul_tensor.dtype == np.float32
-        assert np.allclose(scipy_tensor, matmul_tensor, atol=1e-3)
+        assert_within_ulp(
+            encode_block_grid(image, 12, 32), oracle(image[None], 12, 32)[0]
+        )
 
     def test_extractor_encode_decode_backends_agree(self):
         image = np.random.default_rng(4).random((48, 48))
-        results = {}
-        for backend in DCT_BACKENDS:
-            config = FeatureTensorConfig(
-                block_count=4, coefficients=9, dct_backend=backend
-            )
-            extractor = FeatureTensorExtractor(config)
-            tensor = extractor.encode_image(image)
-            results[backend] = (tensor, extractor.decode(tensor, 48))
-        assert np.allclose(
-            results["scipy"][0], results["matmul"][0], atol=1e-3
+        extractor = FeatureTensorExtractor(
+            FeatureTensorConfig(block_count=4, coefficients=9)
         )
-        assert np.allclose(
-            results["scipy"][1], results["matmul"][1], atol=1e-3
-        )
+        tensor = extractor.encode_image(image)
+        assert_within_ulp(tensor, oracle(image[None], 12, 9)[0])
+        reference = from_blocks(
+            idct2(zigzag_unflatten(tensor.astype(np.float64), 12))[None]
+        )[0]
+        decoded = extractor.decode(tensor, 48)
+        assert decoded.dtype == np.float32
+        assert np.allclose(decoded, reference, atol=1e-6)
 
     def test_full_k_round_trip_matmul(self):
-        # With k = B*B the matmul encode/decode pair is an exact identity
-        # up to the float32 storage cast.
+        # With k = B*B the encode/decode pair is an exact identity up to
+        # the float32 storage cast.
         image = np.random.default_rng(5).random((8, 8)).astype(np.float32)
-        config = FeatureTensorConfig(
-            block_count=2, coefficients=16, dct_backend="matmul"
-        )
+        config = FeatureTensorConfig(block_count=2, coefficients=16)
         extractor = FeatureTensorExtractor(config)
         decoded = extractor.decode(extractor.encode_image(image), 8)
         assert np.allclose(decoded, image, atol=1e-4)
+
+
+#: (block, k, height, width): k = 1; k ending mid-diagonal (5 takes two
+#: of the third diagonal's three; 32 at B = 100, the default geometry,
+#: takes four of the eighth's eight; 28 of 36 at B = 6 stops halfway
+#: along a diagonal past the main anti-diagonal); k = B*B; and
+#: rectangular, tile-shaped images.
+ORACLE_CASES = [
+    (8, 1, 16, 24),
+    (4, 5, 8, 8),
+    (6, 28, 12, 18),
+    (6, 36, 18, 12),
+    (12, 32, 48, 72),
+    (100, 32, 200, 300),
+]
+
+
+class TestOracleMatrix:
+    @pytest.mark.parametrize("kind", ["binary", "real"])
+    @pytest.mark.parametrize("block,k,height,width", ORACLE_CASES)
+    def test_kernel_matches_oracle(self, block, k, height, width, kind):
+        images = images_of(kind, (3, height, width), seed=block * k)
+        assert_within_ulp(block_dct(images, block, k), oracle(images, block, k))
+
+    @pytest.mark.parametrize("kind", ["binary", "real"])
+    @pytest.mark.parametrize("block,k,height,width", ORACLE_CASES)
+    def test_batch_equals_per_image_bitwise(self, block, k, height, width, kind):
+        images = images_of(kind, (3, height, width), seed=block + k)
+        batched = encode_image_batch(images, block, k)
+        for i, image in enumerate(images):
+            assert np.array_equal(batched[i], encode_block_grid(image, block, k))
+
+
+class TestWorkingSet:
+    def test_tile_encode_stays_within_one_band(self):
+        # One 1600 x 1600 float32 tile at B = 100, k = 32: the kernel
+        # holds one float64 band (100 x 1600), never a float64 copy of
+        # the tile. Bound: a quarter of that copy.
+        tile = images_of("binary", (1600, 1600), seed=7)
+        encode_block_grid(tile[:100, :100], 100, 32)  # warm the plan cache
+        tracemalloc.start()
+        try:
+            encode_block_grid(tile, 100, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float64_tile = tile.size * np.dtype(np.float64).itemsize
+        assert peak < float64_tile / 4

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FeatureError
+from repro.features.dct import dct2
 from repro.features.tensor import FeatureTensorConfig, FeatureTensorExtractor
+from repro.features.zigzag import zigzag_flatten
 from repro.geometry.clip import Clip
 from repro.geometry.rect import Rect
 
@@ -107,25 +109,43 @@ class TestBatchEncode:
             clips.append(Clip(WINDOW, rects))
         return clips
 
-    @pytest.mark.parametrize("backend", ["scipy", "matmul"])
-    def test_encode_image_batch_matches_per_image(self, backend):
+    @staticmethod
+    def assert_matches_scipy(got, image, block, k):
+        """``got`` is within one float32 ulp (plus 1e-10) of the oracle:
+        scipy's full DCT per block, zig-zag, first ``k`` terms."""
+        h, w = image.shape
+        blocks = image.reshape(h // block, block, w // block, block)
+        blocks = blocks.transpose(0, 2, 1, 3).astype(np.float64)
+        expected = zigzag_flatten(dct2(blocks))[..., :k]
+        tolerance = 1e-10 + 2.0**-22 * np.abs(expected)
+        assert np.all(np.abs(got - expected) <= tolerance)
+
+    @pytest.mark.parametrize("reference", ["scipy", "matmul"])
+    def test_encode_image_batch_matches_per_image(self, reference):
+        # "matmul": the per-image kernel, bit for bit. "scipy": the
+        # per-image oracle.
         from repro.features.tensor import encode_block_grid, encode_image_batch
 
         rng = np.random.default_rng(3)
         images = rng.normal(size=(4, 20, 20))
-        batched = encode_image_batch(images, block=5, k=7, backend=backend)
+        batched = encode_image_batch(images, block=5, k=7)
         assert batched.shape == (4, 4, 4, 7)
         for i, image in enumerate(images):
-            single = encode_block_grid(image, block=5, k=7, backend=backend)
-            assert np.array_equal(batched[i], single)
+            if reference == "matmul":
+                assert np.array_equal(batched[i], encode_block_grid(image, 5, 7))
+            else:
+                self.assert_matches_scipy(batched[i], image, 5, 7)
 
     def test_backends_agree(self):
+        # The batch kernel and the scipy reference agree on a stack of
+        # rectangular images.
         from repro.features.tensor import encode_image_batch
 
-        images = np.random.default_rng(4).normal(size=(3, 15, 15))
-        a = encode_image_batch(images, block=5, k=9, backend="scipy")
-        b = encode_image_batch(images, block=5, k=9, backend="matmul")
-        assert np.allclose(a, b, atol=1e-5)
+        images = np.random.default_rng(4).normal(size=(3, 15, 25))
+        batched = encode_image_batch(images, block=5, k=9)
+        assert batched.shape == (3, 3, 5, 9)
+        for i, image in enumerate(images):
+            self.assert_matches_scipy(batched[i], image, 5, 9)
 
     def test_extract_batch_rows_equal_extract(self):
         ext = small_extractor()

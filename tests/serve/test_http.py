@@ -6,6 +6,7 @@ drive and benchmark do.
 """
 
 import contextlib
+import socket
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.serve import (
     ServeClientError,
     make_server,
 )
+from repro.serve.http import ServeHandler
 
 
 @contextlib.contextmanager
@@ -86,6 +88,27 @@ class TestEndpoints:
         assert metrics["serve"]["samples"] == 2
         assert "serve.request.seconds" in metrics["metrics"]["histograms"]
         assert "serve.batch.size" in metrics["metrics"]["histograms"]
+
+
+class TestTransport:
+    def test_accepted_socket_disables_nagle(self, registry, monkeypatch):
+        # Headers and body go out as two sends; with Nagle on, the body
+        # waits for the client's delayed ACK of the headers.
+        seen = []
+        setup = ServeHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(ServeHandler, "setup", recording_setup)
+        with serving(registry, registry) as (client, _):
+            client.health()
+        assert seen and all(seen)
 
 
 class TestErrorMapping:

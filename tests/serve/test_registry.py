@@ -111,6 +111,24 @@ class TestActivate:
         published.activate("v1")
         assert fresh_telemetry.counter("serve.model.swaps").value == 1
 
+    @pytest.mark.parametrize("backend", ["scipy", "matmul"])
+    def test_checkpoint_with_retired_dct_backend_activates(
+        self, registry, trained_detector, tiny_data, backend
+    ):
+        # Checkpoints written while FeatureTensorConfig had a dct_backend
+        # field carry it in their stored config; they must still serve.
+        state = trained_detector.to_state()
+        state["config"]["feature"]["dct_backend"] = backend
+        write_checkpoint(registry.path_for("v0"), state)
+        loaded = registry.activate("v0")
+        assert loaded.version == "v0"
+        assert loaded.detector.config == trained_detector.config
+        _, test = tiny_data
+        assert np.array_equal(
+            loaded.detector.predict_proba(test),
+            trained_detector.predict_proba(test),
+        )
+
 
 class TestRollback:
     def test_rollback_swaps_back_and_forth(self, published, second_detector):
