@@ -25,7 +25,9 @@ temporary-chain optimizer updates):
 Writes per-op results to ``BENCH_kernels.json`` and the train-epoch /
 feature-scan throughput trajectory to ``BENCH_train.json``; both
 artifacts are re-read and schema-checked loudly so a malformed record
-fails the run instead of silently poisoning the perf history.
+fails the run instead of silently poisoning the perf history. ``--tiny``
+writes both into a fresh temporary directory instead, so a smoke run
+never overwrites the recorded full-mode numbers.
 
 Full mode asserts the acceptance thresholds (train step >= 2x, matmul
 DCT >= 3x, int8 forward >= 2x pooled float32, SGD in-place >= 0.95x);
@@ -38,6 +40,7 @@ Run: ``PYTHONPATH=src python benchmarks/bench_kernels.py [--tiny]``
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 from pathlib import Path
 
@@ -619,8 +622,14 @@ def main(argv=None) -> int:
         "train_batch": train_batch,
         "network": "dac17 Table 1 (32ch 12x12 input)",
     }
-    write_report(KERNELS_ARTIFACT, "kernel_microbenchmarks", results, metadata)
-    print(f"wrote {KERNELS_ARTIFACT}")
+    if args.tiny:
+        out_dir = Path(tempfile.mkdtemp(prefix="bench_kernels_tiny_"))
+        kernels_artifact = out_dir / KERNELS_ARTIFACT.name
+        train_artifact = out_dir / TRAIN_ARTIFACT.name
+    else:
+        kernels_artifact, train_artifact = KERNELS_ARTIFACT, TRAIN_ARTIFACT
+    write_report(kernels_artifact, "kernel_microbenchmarks", results, metadata)
+    print(f"wrote {kernels_artifact}")
 
     train_doc = {
         "train_epoch": {
@@ -636,12 +645,12 @@ def main(argv=None) -> int:
             "speedup": results["dct"]["speedup"],
         },
     }
-    write_report(TRAIN_ARTIFACT, "train_scan_throughput", train_doc, metadata)
-    print(f"wrote {TRAIN_ARTIFACT}")
+    write_report(train_artifact, "train_scan_throughput", train_doc, metadata)
+    print(f"wrote {train_artifact}")
 
     # Loud schema validation: a malformed artifact fails the run.
-    validate_kernels_report(KERNELS_ARTIFACT)
-    validate_train_report(TRAIN_ARTIFACT)
+    validate_kernels_report(kernels_artifact)
+    validate_train_report(train_artifact)
     print("artifact schemas OK")
 
     if not args.tiny:

@@ -152,18 +152,22 @@ def scan_journal_header(
     }
 
 
-def read_jsonl(path: PathLike) -> Iterator[Tuple[Any, int]]:
+def read_jsonl(path: PathLike, start: int = 0) -> Iterator[Tuple[Any, int]]:
     """Decode the valid prefix of an append-only JSONL file, line by line.
 
     Yields each entry with the byte offset where its line ends. A crash
     can leave the last line torn (no newline) or garbled; decoding stops
     at the first such line, and a writer that resumes appending first
-    cuts the file back to the last offset yielded (0 if none). The scan
-    journal and the scan cache both read through here.
+    cuts the file back to the last offset yielded (``start`` if none).
+    ``start`` must be a line boundary: a reader that keeps a file open
+    passes the offset it has read up to and decodes only what was
+    appended since. The scan journal and the scan cache both read
+    through here.
     """
     with open(path, "rb") as handle:
+        handle.seek(start)
         data = handle.read()
-    end = 0
+    end = start
     # The piece after the last newline is empty or a torn final line.
     for raw in data.split(b"\n")[:-1]:
         try:

@@ -19,10 +19,16 @@ one *global* block grid. So the scan pipeline becomes:
 3. assemble every window's ``(n, n, k)`` tensor by pure slicing.
 
 Each layout pixel is rasterised and transformed exactly once, regardless
-of stride. This extractor runs in one process; a scan spreads across
-processes one level up, in the scan farm's row-band shards
-(:mod:`repro.scanfarm`), each of which encodes only its own block-aligned
-sub-region. Windows that do not sit on the block grid (non-aligned
+of stride. Tiles are keyed by the digest of their clipped geometry, and
+an extractor keeps, from one call to the next, the last tile encoded at
+each position of the layout region's tile lattice: a re-scan after a
+local edit encodes only the tiles whose geometry the edit changed, and
+the memo never holds more than one tile per position. This extractor
+runs in one process; a scan spreads across processes one level up, in
+the scan farm's row-band shards (:mod:`repro.scanfarm`), each of which
+encodes only its own block-aligned sub-region. The farm keeps one
+extractor across its in-process scans; pool shards build their own.
+Windows that do not sit on the block grid (non-aligned
 strides, odd clamped edge windows) fall back to the per-clip
 :class:`~repro.features.tensor.FeatureTensorExtractor` path — output
 equivalence is guaranteed either way and covered by tests.
@@ -110,6 +116,10 @@ class SlidingFeatureExtractor:
         self.block_px = config.block_size_px(clip_nm)
         self.block_nm = self.block_px * config.pixel_nm
         self._per_clip = FeatureTensorExtractor(config)
+        #: Tiles encoded for ``_tiles_region``: lattice position (block
+        #: row, block col) -> (geometry digest, coefficients).
+        self._tiles: Dict[Tuple[int, int], Tuple[str, np.ndarray]] = {}
+        self._tiles_region: Optional[Rect] = None
 
     @property
     def output_shape(self) -> Tuple[int, int, int]:
@@ -167,10 +177,20 @@ class SlidingFeatureExtractor:
         Tiles with identical clipped geometry (standard-cell arrays,
         repeated macros) are encoded once and copied — fingerprinted via
         :func:`~repro.geometry.fingerprint.geometry_digest`, so the reuse
-        is exact, never approximate.
+        is exact, never approximate. The same digests carry tiles across
+        calls: the extractor keeps the last coefficients encoded at each
+        tile position of the layout region, and a tile whose digest
+        matches one of them is copied, not encoded (``scan.tiles_reused``).
+        A re-scan after a local edit therefore encodes only the tiles the
+        edit changed. The memo holds at most one tile per lattice position
+        and is dropped when the layout region changes.
         """
         full = layout.region
         full_rows, full_cols, k = self.grid_shape(full)
+        if full != self._tiles_region:
+            self._tiles.clear()
+            self._tiles_region = full
+        held = {digest: coeffs for digest, coeffs in self._tiles.values()}
         if region is None:
             region = full
             r0 = c0 = 0
@@ -179,11 +199,12 @@ class SlidingFeatureExtractor:
             r0, c0 = self._check_subregion(full, region)
             rows, cols, _ = self.grid_shape(region)
         grid = np.zeros((rows, cols, k), dtype=np.float32)
-        #: Placements: (grid row, grid col, tile index) per non-empty tile.
-        placements: List[Tuple[int, int, int]] = []
-        #: Unique non-empty tiles to encode: (rects, tile window).
-        tiles: List[Tuple[Tuple[Rect, ...], Rect]] = []
-        unique: Dict[str, int] = {}
+        #: Placements: (grid row, grid col, digest) per non-empty tile.
+        placements: List[Tuple[int, int, str]] = []
+        #: Unique non-empty tiles to encode, by digest: (rects, tile window).
+        tiles: Dict[str, Tuple[Tuple[Rect, ...], Rect]] = {}
+        #: Unique tiles encoded by an earlier call, by digest.
+        coefficients: Dict[str, np.ndarray] = {}
         duplicates = 0
         tile = self.tile_blocks
         for b_row in range(r0 - r0 % tile, r0 + rows, tile):
@@ -198,25 +219,29 @@ class SlidingFeatureExtractor:
                 )
                 rects = tuple(layout.query(window))
                 if not rects:
-                    continue  # empty tile: grid already zero
+                    # Empty tile: grid already zero.
+                    self._tiles.pop((b_row, b_col), None)
+                    continue
                 digest = geometry_digest(rects, window)
-                index = unique.get(digest)
-                if index is None:
-                    index = len(tiles)
-                    unique[digest] = index
-                    tiles.append((rects, window))
-                else:
+                if digest in tiles or digest in coefficients:
                     duplicates += 1
-                placements.append((b_row, b_col, index))
+                elif digest in held:
+                    coefficients[digest] = held[digest]
+                else:
+                    tiles[digest] = (rects, window)
+                placements.append((b_row, b_col, digest))
+        registry = get_registry()
         if duplicates:
-            get_registry().counter("scan.tiles_deduped").inc(duplicates)
+            registry.counter("scan.tiles_deduped").inc(duplicates)
+        reused = len(coefficients)
+        if reused:
+            registry.counter("scan.tiles_reused").inc(reused)
         with span("scan.grid", tiles=len(tiles)) as record:
-            encoded = [
-                self._encode_tile(index, rects, window)
-                for index, (rects, window) in enumerate(tiles)
-            ]
-            for b_row, b_col, index in placements:
-                coeffs = encoded[index]
+            for index, (digest, (rects, window)) in enumerate(tiles.items()):
+                coefficients[digest] = self._encode_tile(index, rects, window)
+            for b_row, b_col, digest in placements:
+                coeffs = coefficients[digest]
+                self._tiles[(b_row, b_col)] = (digest, coeffs)
                 t_rows, t_cols = coeffs.shape[:2]
                 # Intersect the tile's block span with the requested
                 # sub-grid (tiles straddle shard edges by design).
@@ -229,6 +254,7 @@ class SlidingFeatureExtractor:
                 ]
             record.attrs["grid_shape"] = (rows, cols, k)
             record.attrs["tiles_deduped"] = duplicates
+            record.attrs["tiles_reused"] = reused
         return grid
 
     def _encode_tile(

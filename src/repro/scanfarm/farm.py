@@ -19,7 +19,12 @@ every one of them exact:
    :class:`~repro.scanfarm.cache.ScanCache`, from a resumed
    :class:`~repro.core.fullchip.ScanJournal`, or from another window
    earlier in this very scan (standard-cell arrays, repeated macros) —
-   are never recomputed: the known probability is replicated.
+   are never recomputed: the known probability is replicated. Between
+   scans the farm also keeps what the last one computed, keyed by
+   content: its window fingerprints (only windows overlapping a rect
+   added or removed are hashed again), its grid tiles (only tiles whose
+   geometry digest changed are encoded again) and its open cache (only
+   lines appended since are read).
 2. **Sharding** — the remaining (representative) windows are split into
    contiguous row bands (:func:`~repro.scanfarm.sharding.plan_shards`),
    oversubscribed ``shards_per_worker``-fold so a shared task queue
@@ -99,9 +104,9 @@ from repro.obs.events import Event, EventBus, get_bus, set_bus
 from repro.obs.tracing import use_trace
 from repro.scanfarm.cache import ScanCache
 from repro.scanfarm.fingerprint import (
+    FingerprintMemo,
     model_fingerprint,
     scan_salt,
-    window_fingerprints,
 )
 from repro.scanfarm.sharding import RegionShard, plan_shards
 from repro.testing.faults import maybe_fail
@@ -247,6 +252,7 @@ def _score_shard(
     payload: Dict[str, Any],
     shard: RegionShard,
     on_batch: Callable[[np.ndarray, np.ndarray], None],
+    extractor: Optional[SlidingFeatureExtractor] = None,
 ) -> None:
     """Score a shard's windows inside its ``farm.shard`` span.
 
@@ -254,8 +260,9 @@ def _score_shard(
     it is scored; ``positions`` index into ``shard.window_indices``.
     Shared-grid batches come from
     :meth:`~repro.features.sliding.SlidingFeatureExtractor.iter_batches`
-    over the shard's own region; per-clip batches cut, rasterise and
-    encode each window on its own.
+    over the shard's own region — through ``extractor`` (the farm's held
+    one, in-process) or a fresh one (pool workers); per-clip batches cut,
+    rasterise and encode each window on its own.
     """
     maybe_fail("farm.shard", shard.index)
     layout: Layout = payload["layout"]
@@ -264,11 +271,12 @@ def _score_shard(
     windows = [payload["windows"][i] for i in shard.window_indices]
     with span("farm.shard", shard=shard.index, windows=len(windows)):
         if payload["use_shared"]:
-            extractor = SlidingFeatureExtractor(
-                detector.extractor.config,
-                clip_nm=payload["clip_nm"],
-                tile_blocks=payload["tile_blocks"],
-            )
+            if extractor is None:
+                extractor = SlidingFeatureExtractor(
+                    detector.extractor.config,
+                    clip_nm=payload["clip_nm"],
+                    tile_blocks=payload["tile_blocks"],
+                )
             for positions, tensors in extractor.iter_batches(
                 layout, windows, batch_size, region=shard.region
             ):
@@ -319,9 +327,11 @@ class ScanFarm:
         ``workers * shards_per_worker`` row bands so early-finishing
         workers pull extra bands instead of idling.
     cache_dir:
-        Directory for the persistent :class:`ScanCache`, read again on
-        every scan. ``None`` disables caching (fingerprints are still
-        used for in-scan deduplication of repeated geometry).
+        Directory for the persistent :class:`ScanCache`. The farm keeps
+        the cache open and, on each scan, reads only the lines appended
+        since its last read (by it or any other writer). ``None``
+        disables caching (fingerprints are still used for in-scan
+        deduplication of repeated geometry).
     model_key:
         Overrides :func:`~repro.scanfarm.fingerprint.model_fingerprint`
         as the model identity in fingerprints — for callers that version
@@ -333,6 +343,12 @@ class ScanFarm:
         completed scan, so a layout whose score distribution has shifted
         from the model's publish-time reference raises ``drift.alert``
         before anyone reads the result.
+
+    One farm runs one scan at a time. Between scans it keeps, in memory,
+    what the last scan computed — window fingerprints, encoded grid
+    tiles, the open cache — and reuses whatever the next layout leaves
+    untouched, keyed by content, so results stay those of a cold scan.
+    Pool shard workers (``workers > 1``) encode their own tiles.
     """
 
     #: Pool respawns after a dead worker before degrading to in-process.
@@ -373,6 +389,9 @@ class ScanFarm:
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self._model_key = model_key
         self.drift_monitor = drift_monitor
+        self._fingerprints = FingerprintMemo()
+        self._extractor: Optional[SlidingFeatureExtractor] = None
+        self._cache: Optional[ScanCache] = None
 
     # ------------------------------------------------------------------
     def _grid_pitch(self) -> Optional[int]:
@@ -391,6 +410,34 @@ class ScanFarm:
             return config.block_size_px(self.clip_nm) * config.pixel_nm
         except FeatureError:
             return None
+
+    def _held_extractor(self) -> SlidingFeatureExtractor:
+        """The in-process grid extractor, kept across scans for its tiles.
+
+        Rebuilt when the feature config, clip size or tile size changes:
+        a tile memo is only valid for the encoding that filled it.
+        """
+        config = self.detector.extractor.config
+        held = self._extractor
+        if held is None or (held.config, held.clip_nm, held.tile_blocks) != (
+            config,
+            self.clip_nm,
+            self.tile_blocks,
+        ):
+            held = SlidingFeatureExtractor(
+                config, clip_nm=self.clip_nm, tile_blocks=self.tile_blocks
+            )
+            self._extractor = held
+        return held
+
+    def _open_cache(self) -> ScanCache:
+        """The held cache for ``cache_dir``, caught up with its data file."""
+        directory = Path(self.cache_dir)
+        if self._cache is None or self._cache.directory != directory:
+            self._cache = ScanCache(directory)
+        else:
+            self._cache.refresh()
+        return self._cache
 
     def model_key(self) -> str:
         """The model identity folded into every fingerprint."""
@@ -481,7 +528,14 @@ class ScanFarm:
                         self.detector.extractor.config if use_shared else None
                     ),
                 )
-                fingerprints = window_fingerprints(layout, windows, salt)
+                fingerprints, fingerprints_reused = (
+                    self._fingerprints.fingerprints(
+                        layout, windows, salt, self.clip_nm, self.stride_nm
+                    )
+                )
+            registry.counter("farm.fingerprints_reused").inc(
+                fingerprints_reused
+            )
 
             scan_journal: Optional[ScanJournal] = None
             done: Dict[int, float] = {}
@@ -512,7 +566,7 @@ class ScanFarm:
             cache: Optional[ScanCache] = None
             if self.cache_dir is not None:
                 with span("farm.cache_read"):
-                    cache = ScanCache(self.cache_dir)  # loads the file
+                    cache = self._open_cache()
                     hits = cache.lookup(fingerprints)
                 cache_hits = 0
                 for i, fp in enumerate(fingerprints):
@@ -624,9 +678,11 @@ class ScanFarm:
                     payload,
                     shard,
                     lambda positions, scored: land(indices[positions], scored),
+                    self._held_extractor() if use_shared else None,
                 )
                 shard_done(shard, time.perf_counter() - tick)
 
+            tiles_reused = registry.counter("scan.tiles_reused").value
             spill_dir: Optional[str] = None
             try:
                 completed: set = set()
@@ -678,6 +734,9 @@ class ScanFarm:
             scanned=len(representatives),
             deduped=len(duplicates),
             resumed_or_cached=len(done),
+            fingerprints_reused=fingerprints_reused,
+            tiles_reused=registry.counter("scan.tiles_reused").value
+            - tiles_reused,
             flagged=result.flagged_count,
             regions=len(result.regions),
             shards=len(shards),
@@ -698,9 +757,10 @@ class ScanFarm:
     ) -> Dict[str, ScanResult]:
         """Scan several layouts through one farm (and one shared cache).
 
-        With a ``cache_dir`` this is the cross-layout incremental mode:
-        revisions of the same chip reuse every unchanged window's
-        probability from the scans before them.
+        This is the cross-layout incremental mode: each revision of a chip
+        re-hashes only the windows and re-encodes only the grid tiles its
+        edits touched, and with a ``cache_dir`` reuses every unchanged
+        window's probability from the scans before it.
         """
         items = (
             layouts.items() if isinstance(layouts, Mapping) else layouts

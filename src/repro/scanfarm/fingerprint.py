@@ -18,6 +18,11 @@ Deliberately **not** in the salt:
     The digest describes one window's content, which is stride-free; a
     denser re-scan of the same chip reuses every window it has seen.
 
+:class:`FingerprintMemo` carries one scan's fingerprints to the next:
+between two scans of one region under one salt, only windows that
+overlap a rect added or removed can change digest, so only those are
+hashed again. :func:`window_fingerprints` stays the stateless reference.
+
 Caches and journals written while ``FeatureTensorConfig`` still had a
 ``dct_backend`` field do not carry over. That field was part of the
 serialised feature config in the salt, so every window of such a
@@ -32,13 +37,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, List, Optional, Sequence
+from collections import Counter
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.features.tensor import FeatureTensorConfig
 from repro.geometry.fingerprint import geometry_digest
-from repro.geometry.layout import Layout
+from repro.geometry.layout import Layout, clip_window_positions
 from repro.geometry.rect import Rect
 
 #: Recursion bound for the structural state walk in
@@ -139,3 +145,81 @@ def window_fingerprints(
 ) -> List[str]:
     """Fingerprints for every scan window, in window order."""
     return [window_fingerprint(layout, w, salt) for w in windows]
+
+
+def _windows_overlapping(
+    rects: Sequence[Rect], region: Rect, clip_nm: int, stride_nm: int
+) -> np.ndarray:
+    """Scan-order indices of the windows sharing area with any of ``rects``.
+
+    The windows are :func:`~repro.geometry.layout.iter_clip_windows`'
+    over ``region``: a lattice of ``clip_nm`` squares. A window overlaps a
+    rect (as :meth:`Rect.overlaps` decides, which is what puts the rect in
+    the window's :meth:`Layout.query`) exactly when its column and its row
+    both do, so the per-window hit count is one product of two small
+    (rects x columns) and (rects x rows) masks, however many rects
+    changed.
+    """
+    if not rects:
+        return np.empty(0, dtype=np.intp)
+    xs, ys = clip_window_positions(region, clip_nm, stride_nm)
+    boxes = np.array([rect.as_tuple() for rect in rects], dtype=np.int64)
+    x = np.asarray(xs, dtype=np.int64)[None, :]
+    y = np.asarray(ys, dtype=np.int64)[None, :]
+    cols = (x < boxes[:, 2:3]) & (boxes[:, 0:1] < x + clip_nm)
+    rows = (y < boxes[:, 3:4]) & (boxes[:, 1:2] < y + clip_nm)
+    hits = rows.T.astype(np.float64) @ cols.astype(np.float64)
+    return np.flatnonzero(hits)
+
+
+class FingerprintMemo:
+    """Window fingerprints carried from one scan to the next by a rect diff.
+
+    A window's fingerprint is a function of the salt and of the rects
+    overlapping it, so between two scans with the same region, window
+    lattice and salt only the windows overlapping a rect added or removed
+    can change. The memo keeps the last scan's rect multiset and
+    fingerprints and re-hashes just those windows; any other scan is
+    hashed in full by :func:`window_fingerprints`. The diff is a multiset
+    because :func:`~repro.geometry.fingerprint.geometry_digest` hashes
+    duplicate rects. The rects are copied out of the layout, so a layout
+    edited in place after its scan diffs correctly too.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple[Rect, int, int, bytes]] = None
+        self._rects: Counter = Counter()
+        self._fingerprints: List[str] = []
+
+    def fingerprints(
+        self,
+        layout: Layout,
+        windows: Sequence[Rect],
+        salt: bytes,
+        clip_nm: int,
+        stride_nm: int,
+    ) -> Tuple[List[str], int]:
+        """Fingerprints of ``windows``, and how many were carried over.
+
+        ``windows`` must be ``iter_clip_windows(layout.region, clip_nm,
+        stride_nm)``; the result equals ``window_fingerprints(layout,
+        windows, salt)``.
+        """
+        key = (layout.region, clip_nm, stride_nm, salt)
+        rects = Counter(layout.rects)
+        if key != self._key:
+            fingerprints = window_fingerprints(layout, windows, salt)
+            reused = 0
+        else:
+            changed = list((rects - self._rects) + (self._rects - rects))
+            dirty = _windows_overlapping(
+                changed, layout.region, clip_nm, stride_nm
+            )
+            fingerprints = list(self._fingerprints)
+            for i in dirty:
+                fingerprints[i] = window_fingerprint(layout, windows[i], salt)
+            reused = len(windows) - len(dirty)
+        self._key = key
+        self._rects = rects
+        self._fingerprints = fingerprints
+        return fingerprints, reused

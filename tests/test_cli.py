@@ -139,6 +139,54 @@ class TestTrainEvaluate:
         assert warm == regions
 
 
+class TestScanBatch:
+    def test_revisions_reuse_within_one_process(self, tmp_path, capsys):
+        from repro.data.fullchip import FullChipSpec, make_layout
+        from repro.geometry.layout import Layout
+        from repro.geometry.layoutio import write_chip
+        from repro.geometry.rect import Rect
+        from repro.obs import load_run_log
+
+        data = tmp_path / "clips.txt"
+        model = tmp_path / "model.npz"
+        assert main(["generate", str(data), "--hotspots", "16",
+                     "--non-hotspots", "24", "--seed", "3"]) == 0
+        assert main(["train", str(data), str(model),
+                     "--iterations", "40", "--bias-rounds", "1"]) == 0
+        base = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=5))
+        edited = Layout(base.region, base.rects)
+        edited.add(Rect(1900, 1900, 2000, 2000))  # one 1600 nm grid tile
+        write_chip(tmp_path / "rev1.layout", base, name="rev1")
+        write_chip(tmp_path / "rev2.layout", edited, name="rev2")
+        capsys.readouterr()
+
+        def regions(out):
+            """Region lines printed per scanned layout, in order."""
+            found = []
+            for line in out.splitlines():
+                if "windows scanned" in line:
+                    found.append([])
+                elif line.strip().startswith("region"):
+                    found[-1].append(line)
+            return found
+
+        log = tmp_path / "batch.jsonl"
+        assert main(["--log-json", str(log), "scan-batch", str(model),
+                     str(tmp_path / "rev1.layout"),
+                     str(tmp_path / "rev2.layout"),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        batch = regions(capsys.readouterr().out)
+        complete = [e.attrs for e in load_run_log(log)
+                    if e.name == "farm.scan.complete"]
+        assert [c["fingerprints_reused"] for c in complete] == [0, 25 - 4]
+        assert complete[0]["tiles_reused"] == 0
+        assert complete[1]["tiles_reused"] > 0
+
+        assert main(["scan", str(model),
+                     "--layout", str(tmp_path / "rev2.layout")]) == 0
+        assert regions(capsys.readouterr().out) == [batch[1]]
+
+
 class TestActive:
     def test_active_model_round_trips_through_evaluate(self, tmp_path, capsys):
         """`active --model` writes a self-describing checkpoint that
