@@ -550,8 +550,8 @@ def _cmd_scan_batch(args) -> int:
         name, layout = read_chip(path)
         named.append((name or path, layout))
     results = farm.scan_batch(named)
-    for name, result in results.items():
-        _say(f"{name}: {result.summary()}")
+    for path, (name, _), result in zip(args.layouts, named, results):
+        _say(f"{path} ({name}): {result.summary()}")
         _print_regions(result)
     return 0
 

@@ -65,12 +65,13 @@ class DetectorConfig:
         fewer buffer passes). Off by default so checkpointed layer
         structure stays identical to historical runs.
     infer_precision:
-        Inference-only precision policy (training is untouched):
-        ``"float64"`` (default) keeps the historical bitwise scoring
-        path; ``"float32"`` runs the conventional pooled float32
-        forward on a cast twin of the network; ``"float16"`` and
-        ``"int8"`` run the compiled low-precision plans of
-        :mod:`repro.nn.quant` (float32 accumulation throughout).
+        Inference-only precision policy (training is untouched). Every
+        value scores through the network's compiled
+        :class:`~repro.nn.quant.InferencePlan`: ``"float64"`` (default)
+        computes in ``compute_dtype``, bitwise equal to the network's
+        ``forward``; ``"float32"`` over float32 casts of the weights;
+        ``"float16"`` and ``"int8"`` accumulate in float32 with
+        half-precision activations or per-channel int8 weights.
         Checkpoints written before this field existed load unchanged —
         the default is the pre-quantization behaviour.
     """

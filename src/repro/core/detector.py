@@ -278,11 +278,9 @@ class HotspotDetector:
     ) -> np.ndarray:
         """``(N, 2)`` softmax probabilities; column 1 is P(hotspot)."""
         network = self._require_trained()
-        resolved = self._resolve_precision(precision)
-        if resolved == "float64":
-            return network.predict_proba(self._to_network_input(dataset))
         return network.predict_proba(
-            self._to_network_input(dataset), precision=resolved
+            self._to_network_input(dataset),
+            precision=self._resolve_precision(precision),
         )
 
     def predict_proba_tensors(

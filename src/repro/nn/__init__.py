@@ -19,7 +19,7 @@ subset from first principles:
 Array convention is NCHW throughout (batch, channels, height, width).
 """
 
-from repro.nn.activations import LeakyReLU, ReLU
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.dropout import Dropout
@@ -34,12 +34,10 @@ from repro.nn.kernels import (
 from repro.nn.layer import Layer, Parameter
 from repro.nn.loss import SoftmaxCrossEntropy, one_hot, softmax
 from repro.nn.network import Sequential
-from repro.nn.norm import BatchNorm2D
 from repro.nn.optim import SGD, Adam, ConstantRate, StepDecay
 from repro.nn.pool import MaxPool2D
 from repro.nn.quant import (
     CalibrationResult,
-    CastShadow,
     InferencePlan,
     MaxObserver,
     PercentileObserver,
@@ -64,10 +62,8 @@ __all__ = [
     "MaxPool2D",
     "Dense",
     "ReLU",
-    "LeakyReLU",
     "Dropout",
     "Flatten",
-    "BatchNorm2D",
     "Sequential",
     "SoftmaxCrossEntropy",
     "softmax",
@@ -98,5 +94,4 @@ __all__ = [
     "MaxObserver",
     "PercentileObserver",
     "InferencePlan",
-    "CastShadow",
 ]

@@ -1,8 +1,7 @@
 """Activation layers.
 
 The paper uses ReLU exclusively (Equation (5)); its positivity is what the
-Theorem-1 argument for biased learning relies on. A leaky variant is
-provided for ablations.
+Theorem-1 argument for biased learning relies on.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import NetworkError
 from repro.nn.layer import Layer
 
 
@@ -29,9 +27,6 @@ class ReLU(Layer):
         self._cache = mask
         return np.where(mask, x, 0.0)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, 0.0)
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         mask = self._require_cached(self._cache, "mask")
         self._cache = None
@@ -40,31 +35,3 @@ class ReLU(Layer):
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return input_shape
 
-
-class LeakyReLU(Layer):
-    """``x if x > 0 else alpha * x`` — ablation alternative to ReLU."""
-
-    kind = "leaky_relu"
-
-    def __init__(self, alpha: float = 0.01, name: str = ""):
-        super().__init__(name)
-        if alpha < 0:
-            raise NetworkError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
-        self._cache: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = x > 0
-        self._cache = mask
-        return np.where(mask, x, self.alpha * x)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, self.alpha * x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        mask = self._require_cached(self._cache, "mask")
-        self._cache = None
-        return np.where(mask, grad, self.alpha * grad)
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return input_shape

@@ -110,8 +110,7 @@ class Conv2D(Layer):
         raise NetworkError(f"unknown padding {padding!r}")
 
     # ------------------------------------------------------------------
-    def _forward_core(self, x: np.ndarray):
-        """Shared compute: (output, cols_flat, (oh, ow), relu_mask)."""
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise NetworkError(
                 f"{self.name}: expected (N, {self.in_channels}, H, W), "
@@ -139,15 +138,7 @@ class Conv2D(Layer):
             # max(x, 0) == where(x > 0, x, 0.0) value-for-value, applied
             # in place on the pooled output buffer.
             np.maximum(out, 0.0, out=out)
-        return out, cols_flat, (out_h, out_w), mask
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out, cols_flat, out_hw, mask = self._forward_core(x)
-        self._cache = (cols_flat, out_hw, x.shape, mask)
-        return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out, _, _, _ = self._forward_core(x)
+        self._cache = (cols_flat, (out_h, out_w), x.shape, mask)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

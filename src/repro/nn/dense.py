@@ -52,28 +52,18 @@ class Dense(Layer):
         )
         self._cache: Optional[np.ndarray] = None
 
-    def _affine(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W + b`` computed into workspace scratch."""
-        out_dtype = np.result_type(x.dtype, self.weight.value.dtype)
-        out = kernels.scratch((x.shape[0], self.out_features), out_dtype)
-        np.matmul(x, self.weight.value, out=out)
-        np.add(out, self.bias.value, out=out)
-        return out
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise NetworkError(
                 f"{self.name}: expected (N, {self.in_features}), got {x.shape}"
             )
         self._cache = x
-        return self._affine(x)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise NetworkError(
-                f"{self.name}: expected (N, {self.in_features}), got {x.shape}"
-            )
-        return self._affine(x)
+        # ``x @ W + b`` computed into workspace scratch.
+        out_dtype = np.result_type(x.dtype, self.weight.value.dtype)
+        out = kernels.scratch((x.shape[0], self.out_features), out_dtype)
+        np.matmul(x, self.weight.value, out=out)
+        np.add(out, self.bias.value, out=out)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._require_cached(self._cache)

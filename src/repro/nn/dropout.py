@@ -49,12 +49,6 @@ class Dropout(Layer):
         self._cache = mask
         return x * mask
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Inverted dropout is the identity at inference; crucially this
-        # path leaves the mask RNG untouched, so concurrent scoring never
-        # perturbs a bitwise-resumable training state.
-        return x
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         mask = self._require_cached(self._cache, "mask")
         self._cache = None

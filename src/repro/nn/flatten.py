@@ -25,11 +25,6 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim < 2:
-            raise NetworkError(f"{self.name}: expected batched input, got {x.shape}")
-        return x.reshape(x.shape[0], -1)
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         shape = self._require_cached(self._cache, "shape")
         self._cache = None

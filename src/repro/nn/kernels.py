@@ -9,8 +9,7 @@ that hands those buffers out (:meth:`Workspace.acquire`) and takes them all
 back at a step boundary (:meth:`Workspace.step`), so after one warmup step
 the training loop performs no im2col-sized allocations at all.
 
-Usage pattern (what :class:`~repro.nn.trainer.Trainer` and the serving
-engine's worker threads do)::
+Usage pattern (what :class:`~repro.nn.trainer.Trainer` does)::
 
     workspace = Workspace()
     for batch in batches:
@@ -189,14 +188,14 @@ def scratch_zeros(shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Quantized-inference kernels
+# Inference kernels
 # ----------------------------------------------------------------------
-# The compiled low-precision plans (:mod:`repro.nn.quant`) run every layer
-# through these two kernels over plan-owned preallocated buffers: one GEMM
-# with a fused dequant+bias(+ReLU, +fp16-overflow-clip) epilogue, and one
-# strided-slice max-pool. Both write exclusively into caller-provided
-# ``out`` buffers, so a steady-state quantized forward performs no
-# activation-sized allocations at all.
+# The compiled inference plans (:mod:`repro.nn.quant`) run every layer
+# through these two kernels over views into one per-call buffer block:
+# one GEMM with a fused dequant+bias(+ReLU, +fp16-overflow-clip)
+# epilogue, and one strided-slice max-pool. Both write exclusively into
+# caller-provided ``out`` buffers, so a forward allocates nothing beyond
+# its block.
 
 
 def gemm_bias_act(

@@ -21,7 +21,9 @@ class Parameter:
 
     ``dtype`` selects the storage/compute precision (the network-wide
     ``compute_dtype`` policy); ``None`` keeps the float64 default that
-    every pre-existing checkpoint was written with.
+    every pre-existing checkpoint was written with. ``version`` counts
+    writes to ``value``: optimizer steps and ``Sequential.set_weights``
+    advance it.
     """
 
     def __init__(self, value: np.ndarray, name: str = "", dtype=None):
@@ -30,6 +32,7 @@ class Parameter:
         )
         self.grad = np.zeros_like(self.value)
         self.name = name
+        self.version = 0
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -59,21 +62,6 @@ class Layer:
         """Compute the layer output; must cache what backward needs."""
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward that writes no shared layer state.
-
-        Concurrent callers (the serving engine's worker threads) score
-        one network simultaneously; ``forward`` cannot be used for that
-        because it stashes per-call buffers on ``self._cache``. ``infer``
-        must produce output bitwise identical to
-        ``forward(x, training=False)`` while touching only locals.
-
-        Every built-in layer overrides this with a pure implementation;
-        the base fallback delegates to ``forward`` (correct, but *not*
-        reentrant — custom layers that cache must override).
-        """
-        return self.forward(x, training=False)
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Propagate ``grad`` (dL/doutput) to dL/dinput."""
         raise NotImplementedError
@@ -86,8 +74,8 @@ class Layer:
         """Drop forward-pass buffers kept for backward.
 
         Layers cache whatever backward needs (im2col column matrices are
-        the big one); inference paths and completed backward passes call
-        this so large batches don't pin those buffers between steps.
+        the big one); completed backward passes and offline calibration
+        call this so large batches don't pin those buffers between steps.
         """
         if hasattr(self, "_cache"):
             self._cache = None
@@ -100,8 +88,8 @@ class Layer:
         """Non-parameter state a resumed run must restore.
 
         Parameters travel through ``get_weights``/``set_weights``; layers
-        with other evolving state — dropout RNGs, batch-norm running
-        statistics — override this pair so checkpoints capture it too.
+        with other evolving state — dropout RNGs — override this pair so
+        checkpoints capture it too.
         """
         return {}
 

@@ -49,8 +49,11 @@ class Sequential:
         ``registry`` defaults to the process-wide
         :func:`repro.obs.get_registry`. Timings land in histograms named
         ``nn.forward.<index>_<layer>.seconds`` (and ``nn.backward....``),
-        one observation per layer per pass. Profiling is strictly opt-in:
-        until this is called, forward/backward take the plain loop.
+        one observation per layer per pass. Inference records a plan
+        step's time under the first layer it covers, and 0 for a layer
+        folded into another's step (a fused ReLU, dropout). Profiling is
+        strictly opt-in: until this is called, every pass takes the plain
+        loop.
         """
         if registry is None:
             from repro.obs.metrics import get_registry
@@ -59,7 +62,7 @@ class Sequential:
         self._profile_registry = registry
 
     def disable_profiling(self) -> None:
-        """Return forward/backward to the uninstrumented fast path."""
+        """Return every pass to the uninstrumented fast path."""
         self._profile_registry = None
 
     def _layer_metric(self, direction: str, index: int) -> str:
@@ -87,17 +90,19 @@ class Sequential:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    @property
+    def weights_version(self) -> int:
+        """A counter every weight write advances (optimizer steps,
+        :meth:`set_weights`): equal readings mean unchanged weights."""
+        return sum(p.version for p in self.parameters())
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise NetworkError(
-                f"input per-sample shape {tuple(x.shape[1:])} does not match "
-                f"network input {self.input_shape}"
-            )
+        self._check_input(x)
         out = x
         if self._profile_registry is None:
             for layer in self.layers:
@@ -133,78 +138,66 @@ class Sequential:
             layer.free_cache()
 
     # ------------------------------------------------------------------
-    def infer(
-        self, x: np.ndarray, precision: Optional[str] = None
-    ) -> np.ndarray:
-        """Reentrant inference forward: no layer state is written.
-
-        With ``precision`` ``None`` or ``"float64"`` (the default path,
-        bitwise-pinned), output is identical to
-        ``forward(x, training=False)``, but every layer routes through
-        its pure :meth:`Layer.infer`, so any number of threads can score
-        the same network concurrently (the serving engine relies on
-        this). Per-layer profiling, when enabled, still records timings
-        — the metrics instruments are thread-safe.
-
-        ``precision="float32"|"float16"|"int8"`` routes through the
-        low-precision execution objects of :mod:`repro.nn.quant`
-        instead: ``"float32"`` is the conventional pooled float32
-        forward on a cast twin of this network; ``"float16"`` and
-        ``"int8"`` run compiled fused plans (float32 accumulation;
-        float16 activation storage / dequantized per-channel int8
-        weights). These return float32 logits and are cached per
-        precision until :meth:`set_weights` or
-        :meth:`invalidate_inference_plans`.
-        """
-        if precision is not None and precision != "float64":
-            if tuple(x.shape[1:]) != self.input_shape:
-                raise NetworkError(
-                    f"input per-sample shape {tuple(x.shape[1:])} does not "
-                    f"match network input {self.input_shape}"
-                )
-            return self._plan_for(precision).run(x)
+    def _check_input(self, x: np.ndarray) -> None:
         if tuple(x.shape[1:]) != self.input_shape:
             raise NetworkError(
                 f"input per-sample shape {tuple(x.shape[1:])} does not match "
                 f"network input {self.input_shape}"
             )
-        out = x
-        if self._profile_registry is None:
-            for layer in self.layers:
-                out = layer.infer(out)
-            return out
-        registry = self._profile_registry
-        for index, layer in enumerate(self.layers):
-            started = time.perf_counter()
-            out = layer.infer(out)
-            registry.histogram(self._layer_metric("forward", index)).observe(
-                time.perf_counter() - started
-            )
-        return out
+
+    def infer(
+        self, x: np.ndarray, precision: Optional[str] = None
+    ) -> np.ndarray:
+        """Reentrant inference forward through a compiled plan.
+
+        Every precision runs the network's cached
+        :class:`~repro.nn.quant.InferencePlan`. With ``precision``
+        ``None`` or ``"float64"`` the plan computes in the parameters'
+        own dtype over the parameter arrays themselves, and its output
+        is bitwise identical to ``forward(x, training=False)`` for input
+        of that dtype (other input is cast on the way in). ``"float32"``
+        computes over float32 casts of the weights; ``"float16"`` and
+        ``"int8"`` accumulate in float32 with half-precision activations
+        or dequantized per-channel int8 weights. Those three return
+        float32 logits. No layer state is written and each call brings
+        its own scratch, so any number of threads can score the same
+        network at once (the serving engine relies on this). Per-layer
+        profiling, when enabled, records each plan step under the first
+        layer it covers; a ReLU fused into its conv or dense records 0.
+
+        The default plan sees in-place optimizer steps as they happen;
+        the reduced-precision plans hold weight casts and are recompiled
+        after :meth:`set_weights` or :meth:`invalidate_inference_plans`.
+        """
+        self._check_input(x)
+        return self._plan_for(precision).run(
+            x, registry=self._profile_registry
+        )
 
     # ------------------------------------------------------------------
-    def _plan_for(self, precision: str):
-        """The cached low-precision execution object (compile on miss)."""
+    def _plan_for(self, precision: Optional[str]):
+        """The cached inference plan for ``precision`` (compile on miss)."""
+        key = "float64" if precision is None else precision
         with _PLAN_LOCK:
             plans = self.__dict__.setdefault("_plans", {})
-            plan = plans.get(precision)
+            plan = plans.get(key)
             if plan is None:
-                from repro.nn.quant import build_infer_plan
+                from repro.nn.quant import InferencePlan
 
-                plan = build_infer_plan(self, precision)
-                plans[precision] = plan
+                plan = plans[key] = InferencePlan(self, key)
         return plan
 
     def invalidate_inference_plans(self) -> None:
-        """Drop every compiled low-precision plan (weights changed)."""
+        """Drop every compiled inference plan (weights rebound or the
+        reduced-precision casts stale)."""
         self.__dict__.pop("_plans", None)
 
     def __getstate__(self) -> dict:
-        # Plans hold thread-local buffer sets, so they are recompiled on
-        # first use after unpickling instead of travelling across
-        # processes. The attached int8 payload and calibration are
-        # dropped with them: an unpickled network re-quantizes its
-        # float weights.
+        # Plans hold views of this network's parameter arrays, so they
+        # are recompiled on first use after unpickling instead of
+        # travelling across processes. The attached int8 payload and
+        # calibration are dropped with them: an unpickled network
+        # re-quantizes its float weights.
         state = self.__dict__.copy()
         state.pop("_plans", None)
         state.pop("_attached_quant", None)
@@ -221,28 +214,35 @@ class Sequential:
         batch_size: int = 256,
         precision: Optional[str] = None,
     ) -> np.ndarray:
-        """Class probabilities, evaluated in inference mode and batches.
+        """Class probabilities, scored through :meth:`infer`'s plan in
+        ``batch_size``-row chunks.
 
-        Runs the reentrant :meth:`infer` path, so concurrent calls are
-        safe and no forward caches are retained between batches (a
-        full-chip scan pushes thousands of windows through here). An
-        empty batch legitimately occurs when the serving engine flushes
-        a drained queue; it short-circuits to an empty ``(0, classes)``
-        result. ``precision`` routes every chunk through the matching
-        low-precision path (see :meth:`infer`).
+        One scratch block sized for the largest chunk serves every chunk
+        and is dropped on return, so concurrent calls are safe and no
+        batch-sized buffer outlives the call (a full-chip scan pushes
+        thousands of windows through here). An empty batch legitimately
+        occurs when the serving engine flushes a drained queue; it
+        short-circuits to an empty ``(0, classes)`` result.
         """
-        if x.shape[0] == 0:
+        n = x.shape[0]
+        if n == 0:
             return np.zeros((0,) + self.output_shape, dtype=np.float64)
-        chunks = []
-        for start in range(0, x.shape[0], batch_size):
-            chunks.append(
+        self._check_input(x)
+        plan = self._plan_for(precision)
+        block = plan.new_block(min(batch_size, n), n % batch_size)
+        return np.concatenate(
+            [
                 softmax(
-                    self.infer(
-                        x[start : start + batch_size], precision=precision
+                    plan.run(
+                        x[start : start + batch_size],
+                        block,
+                        self._profile_registry,
                     )
                 )
-            )
-        return np.concatenate(chunks, axis=0)
+                for start in range(0, n, batch_size)
+            ],
+            axis=0,
+        )
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Hard class predictions (argmax of the probabilities)."""
@@ -301,9 +301,10 @@ class Sequential:
             # float64 (the historical behaviour, bitwise), float32
             # networks stay float32.
             param.value = np.asarray(value, dtype=param.value.dtype).copy()
+            param.version += 1
             param.zero_grad()
-        # New weights invalidate every compiled low-precision plan and
-        # any attached int8 payload (it described the old weights).
+        # The arrays were rebound: every compiled plan is stale, and so
+        # is any attached int8 payload (it described the old weights).
         self.invalidate_inference_plans()
         self.__dict__.pop("_attached_quant", None)
         self.__dict__.pop("_attached_calibration", None)

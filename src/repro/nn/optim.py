@@ -92,6 +92,8 @@ class Optimizer:
         """Apply one update from the accumulated gradients, then advance."""
         self._apply(self.current_rate)
         self.step_count += 1
+        for p in self.parameters:
+            p.version += 1
 
     def _apply(self, rate: float) -> None:
         raise NotImplementedError

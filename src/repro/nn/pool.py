@@ -57,11 +57,6 @@ class MaxPool2D(Layer):
         self._cache = (winners, np.array(x.shape))
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Pure reduction: the winner mask exists only for backward, so
-        # inference skips it entirely (and stays reentrant).
-        return self._tile(x).max(axis=(3, 5))
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         winners, x_shape = self._require_cached(self._cache)
         self._cache = None

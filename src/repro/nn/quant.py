@@ -1,7 +1,8 @@
-"""Quantized inference: calibrated low-precision plans for trained nets.
+"""Compiled inference: the one executor behind ``Sequential.infer``.
 
-Training stays in float64/float32 — this module is inference-only. It
-provides the three pieces of the quantized serving path:
+Training stays in float64/float32 through the layers' ``forward`` and
+``backward``; every inference call runs here. The module has three
+pieces:
 
 - **Per-channel weight quantization**: :func:`quantize_per_channel`
   maps a float weight tensor to symmetric int8 (zero-point 0) with one
@@ -20,32 +21,37 @@ provides the three pieces of the quantized serving path:
   skips the extra pass).
 - **Compiled inference plans**: :class:`InferencePlan` walks a
   :class:`~repro.nn.network.Sequential` once and compiles it into a
-  flat list of fused ops over preallocated channel-major buffers —
-  slice-gather im2col, one GEMM per conv/dense with the
-  dequant+bias+ReLU epilogue fused in (:func:`repro.nn.kernels.
-  gemm_bias_act`), and strided-slice max-pooling. Arithmetic always
-  accumulates in float32; ``precision="float16"`` stores the conv-stage
-  activations in half precision, ``"int8"`` runs from the dequantized
-  int8 weights. Plans are reached through
-  ``Sequential.infer(x, precision=...)`` and cached per network; the
-  default float64 path never touches any of this.
+  flat list of fused ops over channel-major buffers — slice-gather
+  im2col, one GEMM per conv/dense with the dequant+bias+ReLU epilogue
+  fused in (:func:`repro.nn.kernels.gemm_bias_act`), and strided-slice
+  max-pooling. Plans are reached through
+  ``Sequential.infer(x, precision=...)`` and cached per network and
+  precision.
 
-``precision="float32"`` deliberately maps to :class:`CastShadow` — the
-*conventional* layer-by-layer pooled float32 forward (a float32 twin of
-the network) — not to a fused plan. That keeps "float32" meaning what
-PR 5 established (the pooled float32 forward) and makes the benchmark
-claim honest: the int8 plan's speedup is measured against this path.
+The precision picks the plan's dtypes. ``"float64"`` (the default)
+computes in the network's own parameter dtype over the parameter arrays
+themselves, so optimizer steps, which write weights in place, show up
+without a recompile; it is bitwise equal to ``forward(training=False)``.
+``"float32"`` computes over float32 casts of the weights, bitwise equal
+to the forward of a float32 twin of the network. ``"float16"`` stores
+activations in half precision and ``"int8"`` runs dequantized
+per-channel int8 weights; both accumulate in float32 and score in
+16-row tiles. float64 and float32 plans never split a batch, because
+BLAS results are not row-stable across GEMM shapes.
 
-Thread safety: plan weights are shared, but every thread lazily gets
-its own buffer set (keyed by batch size), so concurrent serving workers
-can run the same plan; compilation itself is serialised by the network
-container. Plans hold thread-local state and are never pickled — the
-network drops them on ``__getstate__`` and recompiles on first use.
+Buffers live for one call. Each run lays its buffers out in one zeroed
+byte block from their lifetimes, so buffers never live at the same time
+share bytes (the im2col columns of one layer, the padded staging of
+another); the layout is cached per row count, the memory never is. A
+call thus needs about what the largest layer needs, nothing sized by
+the batch outlives it, and concurrent calls share no mutable state.
+Plans are never pickled: the network drops them on ``__getstate__`` and
+recompiles on first use.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -58,6 +64,7 @@ from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
+from repro.nn.layer import Layer
 from repro.nn.pool import MaxPool2D
 
 #: Largest activation magnitude the float16 plans store unclipped.
@@ -65,11 +72,11 @@ from repro.nn.pool import MaxPool2D
 #: value that calibration barely missed still cannot reach ``inf``.
 FP16_SAFE_MAX = 60000.0
 
-#: Precisions that route through this module (everything except the
-#: bitwise-pinned ``"float64"`` default).
+#: Reduced precisions a model can be published and served at.
 QUANT_PRECISIONS = ("float32", "float16", "int8")
 
-#: Every value ``Sequential.infer(precision=...)`` accepts.
+#: Every value ``Sequential.infer(precision=...)`` accepts; ``"float64"``
+#: is the default, in the network's own parameter dtype.
 INFER_PRECISIONS = ("float64",) + QUANT_PRECISIONS
 
 #: Format tag / schema version of a quantized state subtree
@@ -282,9 +289,10 @@ def calibrate_network(
     """Observe per-layer activation ranges on representative input.
 
     ``batches`` is one standardized NCHW batch (what the network's
-    ``infer`` takes) or an iterable of them. The forward runs on the
-    reference float path, so the recorded ranges describe the
-    activations the quantized plans must represent.
+    ``infer`` takes) or an iterable of them. Each batch runs layer by
+    layer through the reference ``forward(training=False)``, so the
+    recorded ranges describe the activations the quantized plans must
+    represent; the forward caches are released afterwards.
     """
     if isinstance(batches, np.ndarray):
         batches = [batches]
@@ -299,12 +307,13 @@ def calibrate_network(
         samples += int(batch.shape[0])
         out = batch
         for index, layer in enumerate(network.layers):
-            out = layer.infer(out)
+            out = layer.forward(out, training=False)
             key = f"{index:02d}_{layer.name}"
             obs = observers.get(key)
             if obs is None:
                 obs = observers[key] = make_observer(observer, percentile)
             obs.observe(out)
+        network.free_caches()
     if not saw_data:
         raise QuantizationError("calibration needs at least one sample")
     return CalibrationResult(
@@ -412,111 +421,144 @@ def attach_quant_state(network, state: dict) -> None:
 # ----------------------------------------------------------------------
 # Compiled inference plans
 # ----------------------------------------------------------------------
-class _IngestSpec:
-    """(N, C, H, W) network input -> (C, N, H, W) channel-major storage."""
+#: Steps on the buffer-lifetime timeline per spec. A spec's buffers name
+#: the steps (0-3) of its run in which they are live; the incoming
+#: activation stays live through all four.
+_PHASES = 4
 
-    def __init__(self, channels: int, height: int, width: int, store):
-        self.channels = channels
-        self.height = height
-        self.width = width
-        self.store = np.dtype(store)
+#: Byte alignment of every buffer in a call's block (one cache line).
+_ALIGN = 64
 
-    def alloc(self, n: int):
-        return (
-            np.empty(
-                (self.channels, n, self.height, self.width), dtype=self.store
-            ),
-        )
+#: Quantized plans run the spec pipeline in fixed-size batch tiles. The
+#: staging/column buffers of a large batch overflow the cache (the first
+#: conv's im2col columns alone are ~10 MB at batch 64 on the Table-1
+#: network), so each stage streams from memory; 16-sample tiles keep
+#: every intermediate cache-resident, measurably faster end to end. The
+#: tile size is a constant so a given batch always scores identically.
+#: float64 and float32 plans never tile: their contract is bitwise
+#: equality with the whole-batch forward, and BLAS results are not
+#: row-stable across GEMM shapes.
+_BATCH_TILE = 16
 
-    def run(self, x: np.ndarray, bufs):
+
+class _Spec:
+    """One fused step of a compiled plan.
+
+    ``buffers(n)`` lists the scratch a run over ``n`` rows needs, as
+    ``(shape, dtype, first step, last step)`` entries (``None`` for a
+    buffer this spec does without); ``run`` receives them back as views
+    into the call's block. ``output`` indexes the buffer ``run`` returns
+    (``None``: the spec works in place on its input). ``layer`` is the
+    index of the first network layer the spec covers, under whose
+    ``nn.forward`` histogram profiling records its time.
+    """
+
+    output: Optional[int] = None
+    layer = 0
+
+    def buffers(self, n: int) -> list:
+        return []
+
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _IngestSpec(_Spec):
+    """Network input -> plan storage: channel-major ``(C, N, H, W)`` for
+    spatial inputs, ``(N, features)`` for everything else."""
+
+    output = 0
+
+    def __init__(self, shape: Tuple[int, ...], dtype: np.dtype):
+        self.shape = shape
+        self.dtype = dtype
+
+    def buffers(self, n: int) -> list:
+        if len(self.shape) == 3:
+            c, h, w = self.shape
+            return [((c, n, h, w), self.dtype, 0, 0)]
+        return [((n, int(np.prod(self.shape))), self.dtype, 0, 0)]
+
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
         (staging,) = bufs
-        np.copyto(staging, x.transpose(1, 0, 2, 3), casting="same_kind")
-        return staging
-
-
-class _IngestFlatSpec:
-    """(N, F) input of a dense-only network -> float32 staging."""
-
-    def __init__(self, features: int):
-        self.features = features
-
-    def alloc(self, n: int):
-        return (np.empty((n, self.features), dtype=np.float32),)
-
-    def run(self, x: np.ndarray, bufs):
-        (staging,) = bufs
+        if len(self.shape) == 3:
+            x = x.transpose(1, 0, 2, 3)
+        else:
+            x = x.reshape(staging.shape)
         np.copyto(staging, x, casting="same_kind")
         return staging
 
 
-class _ConvSpec:
-    """3x3-style stride-1 conv as one GEMM over slice-gathered columns.
+class _ConvSpec(_Spec):
+    """A convolution as one GEMM over slice-gathered im2col columns.
 
-    With ``ingest`` set (the network's first conv), the spec accepts the
-    raw ``(N, C, H, W)`` network input and transposes it straight into
-    the padded staging buffer — one strided copy instead of a separate
-    ingest store plus an interior copy.
+    Step 0 stages the input into ``padded`` (re-zeroing its padding
+    frame, whose bytes another buffer may have used), step 1 gathers the
+    columns with strided slices, step 2 runs the GEMM with the fused
+    bias(+ReLU, +clip) epilogue into ``prod``, and step 3 casts into
+    ``out`` when activations are stored narrower than they are computed.
+    With ``ingest`` set (the network's first layer), the spec takes the
+    raw ``(N, C, H, W)`` input and transposes it straight into
+    ``padded``.
     """
 
     def __init__(
         self,
+        layer: Conv2D,
         w2d: np.ndarray,
         bias: np.ndarray,
-        pad: int,
-        kernel: int,
-        in_channels: int,
-        out_channels: int,
-        in_hw: Tuple[int, int],
-        out_hw: Tuple[int, int],
-        store,
+        in_shape: Tuple[int, ...],
+        out_shape: Tuple[int, ...],
+        compute: np.dtype,
+        store: np.dtype,
         fuse: bool,
     ):
-        self.w2d = np.ascontiguousarray(w2d, dtype=np.float32)
-        self.bias = np.ascontiguousarray(
-            bias, dtype=np.float32
-        ).reshape(out_channels, 1)
-        self.pad = pad
-        self.kernel = kernel
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.in_hw = in_hw
-        self.out_hw = out_hw
-        self.store = np.dtype(store)
+        self.w2d = w2d
+        self.bias = bias
+        self.kernel = layer.kernel_size
+        self.stride = layer.stride
+        self.pad = layer.pad
+        self.in_shape = in_shape
+        self.out_shape = out_shape
+        self.compute = compute
+        self.store = store
         self.fuse = fuse
         self.relu = False
         self.clip: Optional[float] = None
         self.ingest = False
+        self.output = 2 if store == compute else 3
 
-    def alloc(self, n: int):
-        h, w = self.in_hw
-        oh, ow = self.out_hw
-        k, p, c = self.kernel, self.pad, self.in_channels
-        # Zero-filled once: the interior is overwritten every run, the
-        # padding frame stays zero for the life of the buffer.
-        padded = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=np.float32)
-        cols = np.empty((c * k * k, n * oh * ow), dtype=np.float32)
-        prod = np.empty((self.out_channels, n * oh * ow), dtype=np.float32)
-        if self.store == np.float32:
-            out = prod.reshape(self.out_channels, n, oh, ow)
-        else:
-            out = np.empty(
-                (self.out_channels, n, oh, ow), dtype=self.store
-            )
-        return padded, cols, prod, out
+    def buffers(self, n: int) -> list:
+        c, h, w = self.in_shape
+        f, oh, ow = self.out_shape
+        k, p = self.kernel, self.pad
+        return [
+            ((c, n, h + 2 * p, w + 2 * p), self.compute, 0, 1),
+            ((c * k * k, n * oh * ow), self.compute, 1, 2),
+            ((f, n * oh * ow), self.compute, 2, 3),
+            ((f, n, oh, ow), self.store, 3, 3) if self.output == 3 else None,
+        ]
 
-    def run(self, x: np.ndarray, bufs):
-        padded, cols, prod, out = bufs
-        h, w = self.in_hw
-        oh, ow = self.out_hw
-        k, p, c = self.kernel, self.pad, self.in_channels
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
+        padded, cols, prod, stored = bufs
+        c, h, w = self.in_shape
+        f, oh, ow = self.out_shape
+        k, p, s = self.kernel, self.pad, self.stride
         if self.ingest:
             x = x.transpose(1, 0, 2, 3)
         n = x.shape[1]
+        if p:
+            padded[:, :, :p] = 0
+            padded[:, :, p + h :] = 0
+            padded[:, :, p : p + h, :p] = 0
+            padded[:, :, p : p + h, p + w :] = 0
         np.copyto(padded[:, :, p : p + h, p : p + w], x, casting="same_kind")
         gathered = cols.reshape(c, k, k, n, oh, ow)
         for ky in range(k):
             for kx in range(k):
-                gathered[:, ky, kx] = padded[:, :, ky : ky + oh, kx : kx + ow]
+                gathered[:, ky, kx] = padded[
+                    :, :, ky : ky + s * oh : s, kx : kx + s * ow : s
+                ]
         kernels.gemm_bias_act(
             self.w2d,
             cols,
@@ -525,10 +567,10 @@ class _ConvSpec:
             relu=self.relu and self.fuse,
             clip=self.clip,
         )
-        if self.store != np.float32:
-            np.copyto(
-                out.reshape(self.out_channels, -1), prod, casting="same_kind"
-            )
+        out = prod.reshape(f, n, oh, ow)
+        if stored is not None:
+            np.copyto(stored, out, casting="same_kind")
+            out = stored
         if self.relu and not self.fuse:
             # Unfused reference: a second full pass over the stored
             # activation (what the fused epilogue saves).
@@ -536,96 +578,95 @@ class _ConvSpec:
         return out
 
 
-class _PoolSpec:
+class _PoolSpec(_Spec):
     """Strided-slice non-overlapping max pool over channel-major maps."""
 
-    def __init__(self, pool: int, channels: int, in_hw: Tuple[int, int], store):
+    output = 0
+
+    def __init__(self, pool: int, in_shape: Tuple[int, ...], store: np.dtype):
         self.pool = pool
-        self.channels = channels
-        self.in_hw = in_hw
-        self.store = np.dtype(store)
+        self.in_shape = in_shape
+        self.store = store
 
-    def alloc(self, n: int):
-        h, w = self.in_hw
+    def buffers(self, n: int) -> list:
+        c, h, w = self.in_shape
         p = self.pool
-        out = np.empty(
-            (self.channels, n, h // p, w // p), dtype=self.store
-        )
-        tmp = np.empty_like(out) if p == 2 else None
-        return out, tmp
+        out = ((c, n, h // p, w // p), self.store, 0, 0)
+        return [out, out if p == 2 else None]
 
-    def run(self, x: np.ndarray, bufs):
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
         out, tmp = bufs
         return kernels.pool_max_stride(x, self.pool, out, tmp)
 
 
-class _FlattenSpec:
-    """(C, N, h, w) channel-major conv output -> (N, C*h*w) float32,
-    feature order matching :class:`~repro.nn.flatten.Flatten` on NCHW."""
+class _FlattenSpec(_Spec):
+    """(C, N, h, w) channel-major maps -> (N, C*h*w) in the compute
+    dtype, feature order matching :class:`~repro.nn.flatten.Flatten` on
+    NCHW."""
 
-    def __init__(self, channels: int, in_hw: Tuple[int, int]):
-        self.channels = channels
-        self.in_hw = in_hw
+    output = 0
 
-    def alloc(self, n: int):
-        h, w = self.in_hw
-        return (np.empty((n, self.channels * h * w), dtype=np.float32),)
+    def __init__(self, in_shape: Tuple[int, ...], compute: np.dtype):
+        self.in_shape = in_shape
+        self.compute = compute
 
-    def run(self, x: np.ndarray, bufs):
+    def buffers(self, n: int) -> list:
+        c, h, w = self.in_shape
+        return [((n, c * h * w), self.compute, 0, 0)]
+
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
         (flat,) = bufs
-        h, w = self.in_hw
         n = x.shape[1]
         np.copyto(
-            flat.reshape(n, self.channels, h, w),
+            flat.reshape((n,) + self.in_shape),
             x.transpose(1, 0, 2, 3),
             casting="same_kind",
         )
         return flat
 
 
-class _DenseSpec:
-    """Dense GEMM with the fused bias(+ReLU, +clip) epilogue."""
+class _DenseSpec(_Spec):
+    """Dense GEMM with the fused bias(+ReLU, +clip) epilogue.
+
+    An input stored narrower than the compute dtype (float16) is
+    restaged first (step 0) so the GEMM (step 1) accumulates at full
+    width; an intermediate output is cast back to the storage dtype
+    (step 2), the final logits stay in the compute dtype.
+    """
 
     def __init__(
         self,
         weight: np.ndarray,
         bias: np.ndarray,
-        store,
+        compute: np.dtype,
+        in_dtype: np.dtype,
+        out_dtype: np.dtype,
         fuse: bool,
-        last: bool,
     ):
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float32)
-        self.in_features, self.out_features = self.weight.shape
-        # The incoming activation carries the plan-wide storage dtype
-        # (it may be float16); the final logits always come back
-        # float32, only intermediate dense outputs take the storage
-        # dtype.
-        self.in_store = np.dtype(store)
-        self.store = np.float32 if last else np.dtype(store)
+        self.weight = weight
+        self.bias = bias
+        self.in_features, self.out_features = weight.shape
+        self.compute = compute
+        self.in_dtype = in_dtype
+        self.out_dtype = out_dtype
         self.fuse = fuse
         self.relu = False
         self.clip: Optional[float] = None
+        self.output = 1 if out_dtype == compute else 2
 
-    def alloc(self, n: int):
-        out = np.empty((n, self.out_features), dtype=np.float32)
-        stage = (
-            np.empty((n, self.in_features), dtype=np.float32)
-            if self.in_store != np.float32
-            else None
-        )
-        store_out = (
-            np.empty((n, self.out_features), dtype=self.store)
-            if self.store != np.float32
-            else None
-        )
-        return out, stage, store_out
+    def buffers(self, n: int) -> list:
+        stage = ((n, self.in_features), self.compute, 0, 1)
+        out = ((n, self.out_features), self.compute, 1, 2)
+        stored = ((n, self.out_features), self.out_dtype, 2, 2)
+        return [
+            stage if self.in_dtype != self.compute else None,
+            out,
+            stored if self.output == 2 else None,
+        ]
 
-    def run(self, x: np.ndarray, bufs):
-        out, stage, store_out = bufs
-        if x.dtype != np.float32:
-            # Previous activation was stored in float16: restage to
-            # float32 so the GEMM accumulates in single precision.
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
+        stage, out, stored = bufs
+        if stage is not None:
             np.copyto(stage, x, casting="same_kind")
             x = stage
         kernels.gemm_bias_act(
@@ -636,28 +677,108 @@ class _DenseSpec:
             relu=self.relu and self.fuse,
             clip=self.clip,
         )
-        result = out
-        if store_out is not None:
-            np.copyto(store_out, out, casting="same_kind")
-            result = store_out
+        if stored is not None:
+            np.copyto(stored, out, casting="same_kind")
+            out = stored
         if self.relu and not self.fuse:
-            np.maximum(result, 0.0, out=result)
-        return result
+            np.maximum(out, 0.0, out=out)
+        return out
 
 
-class _ActSpec:
+class _ActSpec(_Spec):
     """Standalone in-place ReLU (a rectifier the compiler could not fold
     into the producing op — e.g. following a pooling layer)."""
 
-    def __init__(self):
-        pass
-
-    def alloc(self, n: int):
-        return ()
-
-    def run(self, x: np.ndarray, bufs):
+    def run(self, x: np.ndarray, bufs: list) -> np.ndarray:
         np.maximum(x, 0.0, out=x)
         return x
+
+
+def _first_fit(records: List[List[int]]) -> Tuple[List[int], int]:
+    """Byte offsets for ``[nbytes, first step, last step]`` buffers.
+
+    Largest first, each buffer takes the lowest aligned offset clear of
+    every placed buffer whose lifetime overlaps its own, so buffers that
+    are never live together share bytes. Returns (offsets, block size).
+    """
+    sizes = [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _, _ in records]
+    offsets = [0] * len(records)
+    placed: List[int] = []
+    for r in sorted(range(len(records)), key=lambda r: -sizes[r]):
+        _, first, last = records[r]
+        busy = sorted(
+            (offsets[q], offsets[q] + sizes[q])
+            for q in placed
+            if records[q][1] <= last and first <= records[q][2]
+        )
+        offset = 0
+        for lo, hi in busy:
+            if offset + sizes[r] <= lo:
+                break
+            offset = max(offset, hi)
+        offsets[r] = offset
+        placed.append(r)
+    total = max((o + s for o, s in zip(offsets, sizes)), default=0)
+    return offsets, total
+
+
+class _Layout:
+    """Where every buffer of a run over one row count lives in a block."""
+
+    __slots__ = ("nbytes", "slots")
+
+    def __init__(self, specs: List[_Spec], n: int):
+        records: List[List[int]] = []
+        entries: List[list] = []
+        live: Optional[int] = None  # record holding the current activation
+        for index, spec in enumerate(specs):
+            base = _PHASES * index
+            if live is not None:
+                records[live][2] = base + _PHASES - 1
+            spec_entries = []
+            for buf in spec.buffers(n):
+                if buf is None:
+                    spec_entries.append(None)
+                    continue
+                shape, dtype, first, last = buf
+                nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+                records.append([nbytes, base + first, base + last])
+                spec_entries.append((len(records) - 1, shape, dtype))
+            if spec.output is not None:
+                live = spec_entries[spec.output][0]
+            entries.append(spec_entries)
+        if live is not None:
+            # The logits are copied out after the last spec.
+            records[live][2] = _PHASES * len(specs)
+        offsets, self.nbytes = _first_fit(records)
+        self.slots = [
+            [
+                None if entry is None else (offsets[entry[0]],) + entry[1:]
+                for entry in spec_entries
+            ]
+            for spec_entries in entries
+        ]
+
+    def bind(self, block: np.ndarray) -> List[list]:
+        """Per-spec buffer views into ``block``."""
+        return [
+            [
+                None
+                if slot is None
+                else np.ndarray(slot[1], slot[2], buffer=block, offset=slot[0])
+                for slot in spec_slots
+            ]
+            for spec_slots in self.slots
+        ]
+
+
+def _unwrap(layer):
+    """The layer a wrapper delegates to (:class:`repro.testing.
+    FlakyLayer`): it scores as that layer, and its faults stay on
+    ``forward``."""
+    while isinstance(getattr(layer, "inner", None), Layer):
+        layer = layer.inner
+    return layer
 
 
 def _weight_operand(
@@ -665,7 +786,13 @@ def _weight_operand(
     precision: str,
     attached: Optional[QuantizedTensor],
 ) -> np.ndarray:
-    """The float32 GEMM operand a plan uses for one weight tensor."""
+    """The GEMM operand a plan uses for one weight tensor, before the
+    cast to the plan's compute dtype.
+
+    float32 and the default return the parameter array itself: at the
+    default the cast is a no-op, so the plan holds the array and sees
+    every in-place optimizer step.
+    """
     if precision == "int8":
         qt = attached
         if qt is None:
@@ -686,50 +813,62 @@ def _weight_operand(
             .astype(np.float16)
             .astype(np.float32)
         )
-    return np.asarray(value, dtype=np.float32)
-
-
-#: Quantized plans run the spec pipeline in fixed-size batch tiles. The
-#: staging/column buffers of a large batch overflow the cache (the first
-#: conv's im2col columns alone are ~10 MB at batch 64 on the Table-1
-#: network), so each stage streams from memory; 16-sample tiles keep
-#: every intermediate cache-resident, measurably faster end to end. The
-#: tile size is a constant so a given batch always scores identically.
-#: The float32 plan never tiles: its contract is bitwise equality with
-#: the conventional whole-batch forward, and BLAS results are not
-#: row-stable across GEMM shapes.
-_BATCH_TILE = 16
+    return value
 
 
 class InferencePlan:
-    """A Sequential network compiled for one low-precision forward.
+    """A Sequential network compiled for inference at one precision.
 
-    Built once per (network, precision); every thread binds its own
-    buffer set per batch size on first use, so `run` is reentrant.
+    The precision sets the dtype the plan computes in: the network's own
+    parameter dtype for ``"float64"`` (the default; the plan holds the
+    parameter arrays themselves), float32 for the rest. ``"float16"``
+    stores activations in half precision, ``"int8"`` runs dequantized
+    per-channel int8 weights; both score in 16-row tiles.
+
+    Every run takes its buffers from one zeroed byte block laid out from
+    buffer lifetimes (:class:`_Layout`, cached per row count — offsets
+    only, never memory). ``run`` makes the block itself unless handed
+    one from :meth:`new_block`, so calls hold no shared mutable state and
+    are reentrant.
     """
 
     def __init__(
         self,
         network,
-        precision: str,
+        precision: str = "float64",
         fuse_epilogue: bool = True,
         calibration: Optional[CalibrationResult] = None,
     ):
-        if precision not in QUANT_PRECISIONS:
+        if precision not in INFER_PRECISIONS:
             raise QuantizationError(
                 f"unknown plan precision {precision!r} "
-                f"(choices: {QUANT_PRECISIONS})"
+                f"(choices: {INFER_PRECISIONS})"
             )
         self.precision = precision
         self.fuse_epilogue = bool(fuse_epilogue)
         self.input_shape = tuple(network.input_shape)
-        store = np.float16 if precision == "float16" else np.float32
-        self.store_dtype = np.dtype(store)
+        self.output_shape = tuple(network.output_shape)
+        dtypes = [p.value.dtype for p in network.parameters()]
+        if precision != "float64":
+            self.compute_dtype = np.dtype(np.float32)
+        elif dtypes:
+            self.compute_dtype = np.dtype(np.result_type(*dtypes))
+        else:
+            self.compute_dtype = np.dtype(np.float64)
+        self.store_dtype = (
+            np.dtype(np.float16) if precision == "float16" else self.compute_dtype
+        )
+        self._tile = _BATCH_TILE if precision in ("float16", "int8") else None
         if calibration is None:
             calibration = getattr(network, "_attached_calibration", None)
         ranges = calibration.ranges if calibration is not None else None
+        self._metrics = [
+            f"nn.forward.{index:02d}_{layer.name}.seconds"
+            for index, layer in enumerate(network.layers)
+        ]
+        self._spatial_out = False
         self._specs = self._compile(network, ranges)
-        self._local = threading.local()
+        self._layouts: Dict[int, _Layout] = {}
 
     # ------------------------------------------------------------------
     def _clip_for(self, ranges: Optional[Dict[str, float]], key: str):
@@ -745,203 +884,173 @@ class InferencePlan:
             return FP16_SAFE_MAX
         return None
 
-    def _compile(self, network, ranges) -> List[object]:
-        store = self.store_dtype
+    def _compile(self, network, ranges) -> List[_Spec]:
+        compute, store = self.compute_dtype, self.store_dtype
         attached: Dict[int, QuantizedTensor] = getattr(
             network, "_attached_quant", None
         ) or {}
         shapes = network._shapes
-        specs: List[object] = []
-        ingest_pending = None
-        if len(self.input_shape) == 3:
-            channels, height, width = self.input_shape
-            # Deferred: if the first layer is a conv, the transpose fuses
-            # into its padded-staging copy and no ingest buffer exists.
-            ingest_pending = _IngestSpec(channels, height, width, store)
-            spatial = True
-        elif len(self.input_shape) == 1:
-            specs.append(_IngestFlatSpec(self.input_shape[0]))
-            spatial = False
-        else:
-            raise QuantizationError(
-                f"cannot compile a plan for input shape {self.input_shape}"
-            )
-        pending = None  # last conv/dense spec, open for a ReLU fold
+        layers = [_unwrap(layer) for layer in network.layers]
+        spatial = len(self.input_shape) == 3
+        # The activation's dtype as the walk goes; the caller's input is
+        # staged (or, for a first conv, padded) into the plan's storage.
+        current = store if spatial else compute
+        ingest: Optional[_Spec] = _IngestSpec(self.input_shape, current)
+        specs: List[_Spec] = []
+        fold = None  # last conv/dense spec, open for a ReLU fold
         param_index = 0
-        for index, layer in enumerate(network.layers):
+        for index, layer in enumerate(layers):
             in_shape = shapes[index]
             out_shape = shapes[index + 1]
-            key = f"{index:02d}_{layer.name}"
+            key = f"{index:02d}_{network.layers[index].name}"
+            if isinstance(layer, Dropout):
+                continue  # identity at inference
             if isinstance(layer, Conv2D):
-                if not spatial:
-                    raise QuantizationError(
-                        f"{layer.name}: conv after flatten is unsupported"
-                    )
-                if layer.stride != 1:
-                    raise QuantizationError(
-                        f"{layer.name}: quantized plans require stride 1, "
-                        f"got {layer.stride}"
-                    )
                 weight = _weight_operand(
-                    layer.weight.value,
-                    self.precision,
-                    attached.get(param_index),
+                    layer.weight.value, self.precision, attached.get(param_index)
                 )
                 spec = _ConvSpec(
-                    weight.reshape(layer.out_channels, -1),
-                    np.asarray(layer.bias.value),
-                    pad=layer.pad,
-                    kernel=layer.kernel_size,
-                    in_channels=layer.in_channels,
-                    out_channels=layer.out_channels,
-                    in_hw=(in_shape[1], in_shape[2]),
-                    out_hw=(out_shape[1], out_shape[2]),
-                    store=store,
-                    fuse=self.fuse_epilogue,
+                    layer,
+                    np.ascontiguousarray(weight, dtype=compute).reshape(
+                        layer.out_channels, -1
+                    ),
+                    np.ascontiguousarray(
+                        layer.bias.value, dtype=compute
+                    ).reshape(layer.out_channels, 1),
+                    in_shape,
+                    out_shape,
+                    compute,
+                    store,
+                    self.fuse_epilogue,
                 )
                 spec.clip = self._clip_for(ranges, key)
-                if layer.activation == "relu":
-                    spec.relu = True
-                if ingest_pending is not None:
-                    spec.ingest = True
-                    ingest_pending = None
-                specs.append(spec)
-                pending = spec
+                spec.relu = layer.activation == "relu"
+                spec.ingest = ingest is not None
+                ingest = None
+                fold = spec
+                current = store
                 param_index += 2
-            elif isinstance(layer, Dense):
-                if spatial:
-                    raise QuantizationError(
-                        f"{layer.name}: dense before flatten is unsupported"
-                    )
-                weight = _weight_operand(
-                    layer.weight.value,
-                    self.precision,
-                    attached.get(param_index),
-                )
-                last = all(
-                    isinstance(rest, Dropout)
-                    for rest in network.layers[index + 1 :]
-                )
-                spec = _DenseSpec(
-                    weight,
-                    np.asarray(layer.bias.value),
-                    store=store,
-                    fuse=self.fuse_epilogue,
-                    last=last,
-                )
-                spec.clip = self._clip_for(ranges, key)
-                specs.append(spec)
-                pending = spec
-                param_index += 2
-            elif isinstance(layer, MaxPool2D):
-                if not spatial:
-                    raise QuantizationError(
-                        f"{layer.name}: pooling after flatten is unsupported"
-                    )
-                if ingest_pending is not None:
-                    specs.append(ingest_pending)
-                    ingest_pending = None
-                specs.append(
-                    _PoolSpec(
-                        layer.pool_size,
-                        in_shape[0],
-                        (in_shape[1], in_shape[2]),
-                        store,
-                    )
-                )
-                pending = None
-            elif isinstance(layer, Flatten):
-                if spatial:
-                    if ingest_pending is not None:
-                        specs.append(ingest_pending)
-                        ingest_pending = None
-                    specs.append(
-                        _FlattenSpec(in_shape[0], (in_shape[1], in_shape[2]))
-                    )
-                    spatial = False
-                pending = None
-            elif isinstance(layer, ReLU):
-                if pending is not None and not pending.relu:
-                    pending.relu = True
-                    # The stored activation is post-ReLU: recheck the
-                    # overflow guard against that layer's range.
-                    pending.clip = self._clip_for(ranges, key)
-                else:
-                    if ingest_pending is not None:
-                        specs.append(ingest_pending)
-                        ingest_pending = None
-                    specs.append(_ActSpec())
-                pending = None
-            elif isinstance(layer, Dropout):
-                continue  # identity at inference
             else:
-                raise QuantizationError(
-                    f"precision {self.precision!r} cannot compile layer "
-                    f"{layer.name!r} ({type(layer).__name__})"
-                )
+                if ingest is not None:
+                    ingest.layer = index
+                    specs.append(ingest)
+                    ingest = None
+                if isinstance(layer, Dense):
+                    weight = _weight_operand(
+                        layer.weight.value,
+                        self.precision,
+                        attached.get(param_index),
+                    )
+                    last = all(
+                        isinstance(rest, Dropout) for rest in layers[index + 1 :]
+                    )
+                    spec = _DenseSpec(
+                        np.ascontiguousarray(weight, dtype=compute),
+                        np.ascontiguousarray(layer.bias.value, dtype=compute),
+                        compute,
+                        in_dtype=current,
+                        out_dtype=compute if last else store,
+                        fuse=self.fuse_epilogue,
+                    )
+                    spec.clip = self._clip_for(ranges, key)
+                    fold = spec
+                    current = spec.out_dtype
+                    param_index += 2
+                elif isinstance(layer, MaxPool2D):
+                    spec = _PoolSpec(layer.pool_size, in_shape, current)
+                    fold = None
+                elif isinstance(layer, Flatten):
+                    fold = None
+                    if not spatial:
+                        continue  # already (N, features)
+                    spec = _FlattenSpec(in_shape, compute)
+                    spatial = False
+                    current = compute
+                elif isinstance(layer, ReLU):
+                    if fold is not None and not fold.relu:
+                        fold.relu = True
+                        # The stored activation is post-ReLU: recheck the
+                        # overflow guard against that layer's range.
+                        fold.clip = self._clip_for(ranges, key)
+                        fold = None
+                        continue
+                    spec = _ActSpec()
+                    fold = None
+                else:
+                    raise QuantizationError(
+                        f"no inference plan for layer {layer.name!r} "
+                        f"({type(layer).__name__})"
+                    )
+            spec.layer = index
+            specs.append(spec)
+        if ingest is not None:  # nothing but dropout: stage the input
+            specs.append(ingest)
+        self._spatial_out = spatial
         return specs
 
     # ------------------------------------------------------------------
-    def _buffers_for(self, n: int):
-        by_n = getattr(self._local, "by_n", None)
-        if by_n is None:
-            by_n = self._local.by_n = {}
-        bound = by_n.get(n)
-        if bound is None:
-            bound = by_n[n] = [spec.alloc(n) for spec in self._specs]
-        return bound
+    def _layout(self, n: int) -> _Layout:
+        # One small entry per distinct row count (predict_proba's chunks
+        # bound those by its batch size). Threads racing on a miss compute
+        # the same layout, so the last write losing costs nothing.
+        layout = self._layouts.get(n)
+        if layout is None:
+            layout = self._layouts[n] = _Layout(self._specs, n)
+        return layout
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """One forward pass; returns fresh float32 logits."""
+    def new_block(self, *row_counts: int) -> np.ndarray:
+        """Zeroed scratch that serves a :meth:`run` over any of
+        ``row_counts`` rows (one at a time)."""
+        need = 0
+        for n in row_counts:
+            if n <= 0:
+                continue
+            tile = self._tile or n
+            for rows in {min(tile, n), n % tile or tile}:
+                need = max(need, self._layout(rows).nbytes)
+        return np.zeros(need, dtype=np.uint8)
+
+    def run(
+        self,
+        x: np.ndarray,
+        block: Optional[np.ndarray] = None,
+        registry=None,
+    ) -> np.ndarray:
+        """Logits of one forward pass, fresh, in the compute dtype.
+
+        ``block`` is scratch from :meth:`new_block` covering ``x``'s row
+        count (made here when omitted). With a metrics ``registry``, every
+        layer's ``nn.forward`` histogram gets one observation per call:
+        the wall-clock of the specs that start at it, 0 for a layer folded
+        into another's spec (a fused ReLU, dropout).
+        """
         n = x.shape[0]
-        if self.precision != "float32" and n > _BATCH_TILE:
-            first = self._run_tile(x[:_BATCH_TILE])
-            out = np.empty((n,) + first.shape[1:], dtype=np.float32)
-            out[:_BATCH_TILE] = first
-            for start in range(_BATCH_TILE, n, _BATCH_TILE):
-                stop = min(start + _BATCH_TILE, n)
-                out[start:stop] = self._run_tile(x[start:stop])
+        out = np.empty((n,) + self.output_shape, dtype=self.compute_dtype)
+        if n == 0:
             return out
-        return np.array(self._run_tile(x), dtype=np.float32, copy=True)
-
-    def _run_tile(self, x: np.ndarray) -> np.ndarray:
-        out = x
-        for spec, bufs in zip(self._specs, self._buffers_for(x.shape[0])):
-            out = spec.run(out, bufs)
+        if block is None:
+            block = self.new_block(n)
+        tile = self._tile or n
+        timings = None if registry is None else [0.0] * len(self._metrics)
+        for start in range(0, n, tile):
+            stop = min(start + tile, n)
+            out[start:stop] = self._run_rows(x[start:stop], block, timings)
+        if timings is not None:
+            for name, seconds in zip(self._metrics, timings):
+                registry.histogram(name).observe(seconds)
         return out
 
-
-class CastShadow:
-    """The conventional pooled float32 forward: a float32 twin network.
-
-    ``precision="float32"`` runs the same layer-by-layer inference path
-    as a ``compute_dtype="float32"`` network — roughly half the memory
-    traffic of float64 through every GEMM, no fused plan. It is the
-    reference the quantized plans' speedups are measured against.
-    """
-
-    precision = "float32"
-
-    def __init__(self, network):
-        import copy
-
-        self.network = copy.deepcopy(network)
-        for param in self.network.parameters():
-            param.value = np.asarray(param.value, dtype=np.float32)
-            param.grad = np.zeros_like(param.value)
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        batch = np.ascontiguousarray(x, dtype=np.float32)
-        return self.network.infer(batch)
-
-
-def build_infer_plan(network, precision: str):
-    """The execution object behind ``Sequential.infer(precision=...)``."""
-    if precision == "float32":
-        return CastShadow(network)
-    if precision in ("float16", "int8"):
-        return InferencePlan(network, precision)
-    raise QuantizationError(
-        f"unknown inference precision {precision!r} "
-        f"(choices: {INFER_PRECISIONS})"
-    )
+    def _run_rows(self, x: np.ndarray, block: np.ndarray, timings) -> np.ndarray:
+        views = self._layout(x.shape[0]).bind(block)
+        out = x
+        if timings is None:
+            for spec, bufs in zip(self._specs, views):
+                out = spec.run(out, bufs)
+        else:
+            for spec, bufs in zip(self._specs, views):
+                started = time.perf_counter()
+                out = spec.run(out, bufs)
+                timings[spec.layer] += time.perf_counter() - started
+        if self._spatial_out:
+            return out.transpose(1, 0, 2, 3)
+        return out.reshape((x.shape[0],) + self.output_shape)

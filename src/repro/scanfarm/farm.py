@@ -169,6 +169,37 @@ class _EventCollector:
         )
 
 
+def _spill_root() -> Path:
+    """The directory every pooled scan's spill directory lives under."""
+    return Path(tempfile.gettempdir()) / "repro-farm-spill"
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by someone else
+        return True
+    return True
+
+
+def _new_spill_dir() -> str:
+    """A fresh spill directory named for this process.
+
+    A scan killed mid-run (SIGKILL, OOM) never reaches its cleanup, so
+    each new one first removes the directories of processes that are
+    gone.
+    """
+    root = _spill_root()
+    root.mkdir(parents=True, exist_ok=True)
+    for entry in root.iterdir():
+        pid = entry.name.split("-", 1)[0]
+        if pid.isdigit() and not _pid_alive(int(pid)):
+            shutil.rmtree(entry, ignore_errors=True)
+    return tempfile.mkdtemp(prefix=f"{os.getpid()}-", dir=root)
+
+
 def _spill_path(payload: Dict[str, Any], index: int) -> Optional[str]:
     """Where shard ``index`` spills partial metrics (None: spill off)."""
     spill_dir = payload.get("spill_dir")
@@ -335,7 +366,9 @@ class ScanFarm:
     model_key:
         Overrides :func:`~repro.scanfarm.fingerprint.model_fingerprint`
         as the model identity in fingerprints — for callers that version
-        models externally (e.g. the serving registry's names).
+        models externally (e.g. the serving registry's names). Without
+        it, the fingerprint follows the model: a new ``detector``, a new
+        network, config or any weight write re-hashes it.
     drift_monitor:
         Optional :class:`~repro.obs.drift.DriftMonitor` fed the freshly
         computed hotspot probabilities as they land (cached/deduplicated
@@ -387,7 +420,9 @@ class ScanFarm:
         self.tile_blocks = tile_blocks
         self.shards_per_worker = shards_per_worker
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
-        self._model_key = model_key
+        self._fixed_model_key = model_key
+        self._model_key: Optional[str] = None
+        self._model_stamp: Optional[Tuple[Any, ...]] = None
         self.drift_monitor = drift_monitor
         self._fingerprints = FingerprintMemo()
         self._extractor: Optional[SlidingFeatureExtractor] = None
@@ -440,9 +475,30 @@ class ScanFarm:
         return self._cache
 
     def model_key(self) -> str:
-        """The model identity folded into every fingerprint."""
-        if self._model_key is None:
-            self._model_key = model_fingerprint(self.detector)
+        """The model identity folded into every fingerprint.
+
+        Hashing a model costs about a millisecond, so the key is hashed
+        again only when the detector object, its network, its config or
+        the network's weights version (advanced by every optimizer step
+        and ``set_weights``) differs from the last hash's.
+        """
+        if self._fixed_model_key is not None:
+            return self._fixed_model_key
+        detector = self.detector
+        network = getattr(detector, "network", None)
+        stamp = (
+            detector,
+            network,
+            getattr(detector, "config", None),
+            getattr(network, "weights_version", None),
+        )
+        held = self._model_stamp
+        if held is None or not (
+            all(a is b for a, b in zip(stamp[:3], held[:3]))
+            and stamp[3] == held[3]
+        ):
+            self._model_key = model_fingerprint(detector)
+            self._model_stamp = stamp
         return self._model_key
 
     def _journal_header(
@@ -690,7 +746,7 @@ class ScanFarm:
                     # Pool workers parent their farm.shard spans to this
                     # span via the shipped context.
                     payload["trace"] = farm_span.context()
-                    spill_dir = tempfile.mkdtemp(prefix="repro-farm-spill-")
+                    spill_dir = _new_spill_dir()
                     payload["spill_dir"] = spill_dir
                     completed = self._run_shards_pool(payload, shards, consume)
                 for shard in shards:
@@ -754,21 +810,23 @@ class ScanFarm:
             Mapping[str, Layout], Iterable[Tuple[str, Layout]]
         ],
         batch_size: int = 512,
-    ) -> Dict[str, ScanResult]:
-        """Scan several layouts through one farm (and one shared cache).
+    ) -> List[ScanResult]:
+        """Scan several named layouts through one farm (and one shared
+        cache); one result per input, in input order.
 
         This is the cross-layout incremental mode: each revision of a chip
         re-hashes only the windows and re-encodes only the grid tiles its
         edits touched, and with a ``cache_dir`` reuses every unchanged
-        window's probability from the scans before it.
+        window's probability from the scans before it. Names only label
+        the ``farm.batch.layout`` events; two layouts may share one.
         """
         items = (
             layouts.items() if isinstance(layouts, Mapping) else layouts
         )
-        results: Dict[str, ScanResult] = {}
+        results: List[ScanResult] = []
         for name, layout in items:
-            emit("farm.batch.layout", layout=name)
-            results[name] = self.scan(layout, batch_size=batch_size)
+            emit("farm.batch.layout", layout=name, index=len(results))
+            results.append(self.scan(layout, batch_size=batch_size))
         return results
 
     # ------------------------------------------------------------------

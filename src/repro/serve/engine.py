@@ -68,7 +68,6 @@ from repro.exceptions import (
     QueueFullError,
     ServeError,
 )
-from repro.nn.kernels import Workspace, use_workspace
 from repro.obs import emit, get_registry
 from repro.obs.drift import DriftConfig, DriftMonitor
 from repro.obs.slo import SLObjective, SLOTracker, default_serve_objectives
@@ -309,19 +308,13 @@ class InferenceEngine:
         return batch
 
     def _worker_loop(self) -> None:
-        # Each worker thread owns a kernel workspace: inference scratch
-        # (im2col columns, activation buffers) is allocated on the first
-        # batch of a given shape and reused for every later one. Scoping
-        # each batch with step() reclaims the buffers at batch end;
-        # results handed to futures are fresh arrays (softmax output),
-        # never pooled memory, so nothing escapes the step.
-        workspace = Workspace()
+        # Inference scratch lives for one predict_proba call (the plan's
+        # per-call block), so an idle worker holds no batch-sized memory.
         while True:
             batch = self._collect()
             if batch is None:
                 return
-            with use_workspace(workspace), workspace.step():
-                self._run_batch(batch)
+            self._run_batch(batch)
 
     def _drift_monitor(self, model: LoadedModel) -> Optional[DriftMonitor]:
         """The per-version monitor, if the model shipped with a profile."""

@@ -34,7 +34,9 @@ class FlakyLayer(Layer):
     delegating, so the wrapped layer's state is untouched by the failure.
     Every other behaviour (backward, parameters, shapes, caches) proxies
     straight through — a network trained with an exhausted FlakyLayer is
-    numerically identical to one built without it.
+    numerically identical to one built without it. Inference plans
+    compile the wrapped layer (``inner``), so scoring never faults and
+    never counts as a forward call.
     """
 
     kind = "flaky"
@@ -53,18 +55,6 @@ class FlakyLayer(Layer):
                 f"{self.forward_calls}"
             )
         return self.inner.forward(x, training=training)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Inference calls count against ``fail_on`` too so serving tests
-        # can inject mid-traffic failures. The counter update makes this
-        # wrapper deliberately non-reentrant — it is a test tool.
-        self.forward_calls += 1
-        if self.forward_calls in self.fail_on:
-            raise InjectedFault(
-                f"{self.name}: injected failure on forward call "
-                f"{self.forward_calls}"
-            )
-        return self.inner.infer(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return self.inner.backward(grad)

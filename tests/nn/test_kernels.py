@@ -31,6 +31,7 @@ from repro.nn.kernels import (
 )
 from repro.nn.layer import Parameter
 from repro.nn.loss import SoftmaxCrossEntropy
+from repro.nn.network import Sequential
 from repro.nn.optim import SGD, Adam, ConstantRate
 
 
@@ -169,7 +170,8 @@ class TestPoolingIsBitwisePure:
         out_fused = fused.forward(x, training=True)
         out_unfused = relu.forward(unfused.forward(x, training=True), training=True)
         assert np.array_equal(out_fused, out_unfused)
-        assert np.array_equal(fused.infer(x), out_unfused)
+        scored = Sequential([fused], input_shape=(3, 8, 8)).infer(x)
+        assert np.array_equal(scored, out_unfused)
 
         dx_fused = fused.backward(grad)
         dx_unfused = unfused.backward(relu.backward(grad))

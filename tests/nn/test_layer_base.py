@@ -49,6 +49,13 @@ class TestLayerBase:
     def test_parameters_default_empty(self):
         assert Layer().parameters() == []
 
+    def test_stateless_layer_rejects_foreign_state(self):
+        from repro.nn import ReLU
+
+        assert ReLU().extra_state() == {}
+        with pytest.raises(NetworkError):
+            ReLU().load_extra_state({"rng": 1})
+
     def test_require_cached(self):
         layer = Layer()
         with pytest.raises(NetworkError):

@@ -9,7 +9,6 @@ import pytest
 
 from repro.exceptions import NetworkError
 from repro.nn import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
-from repro.nn.activations import LeakyReLU
 from repro.nn.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
@@ -165,20 +164,6 @@ class TestActivations:
     def test_relu_output_nonnegative(self):
         relu = ReLU()
         assert relu.forward(RNG.normal(size=(8, 8))).min() >= 0.0
-
-    def test_leaky_relu(self):
-        leaky = LeakyReLU(alpha=0.1)
-        x = np.array([[-2.0, 3.0]])
-        assert np.allclose(leaky.forward(x), [[-0.2, 3.0]])
-
-    def test_leaky_gradient(self):
-        leaky = LeakyReLU(alpha=0.1)
-        x = RNG.normal(size=(4, 6)) + 0.05
-        assert check_layer_input_gradient(leaky, x)[1] < 1e-4
-
-    def test_leaky_validation(self):
-        with pytest.raises(NetworkError):
-            LeakyReLU(alpha=-0.5)
 
 
 class TestDropout:

@@ -1,13 +1,16 @@
-"""Quantized inference: observers, per-channel int8, compiled plans.
+"""Compiled inference: observers, per-channel int8, plans, buffer blocks.
 
 The serving registry ships int8 payloads and scores them on compiled plans,
 which is only sound because (a) per-channel quantization has a bounded,
 deterministic reconstruction error, (b) the float32 plan is bitwise-
-identical to the conventional pooled float32 forward (so every plan
+identical to the forward of a float32 twin of the network (so every plan
 optimisation is validated against a known-good reference), and (c) the
-plans invalidate whenever weights change. All three are pinned here.
+plans invalidate whenever weights change. All three are pinned here, with
+the plans' memory contract: a call's buffers live in one block that
+buffers never live together share, and nothing batch-sized outlives it.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -21,7 +24,6 @@ from repro.exceptions import QuantizationError
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.nn.quant import (
     CalibrationResult,
-    CastShadow,
     InferencePlan,
     MaxObserver,
     PercentileObserver,
@@ -51,6 +53,15 @@ def small_network(seed=0):
         ],
         input_shape=(3, 8, 8),
     )
+
+
+def float32_forward(network, x):
+    """The conventional float32 forward: a float32 twin, layer by layer."""
+    twin = copy.deepcopy(network)
+    for param in twin.parameters():
+        param.value = np.asarray(param.value, dtype=np.float32)
+        param.grad = np.zeros_like(param.value)
+    return twin.forward(np.asarray(x, dtype=np.float32), training=False)
 
 
 def batch(seed=1, n=6, shape=(3, 8, 8)):
@@ -219,7 +230,7 @@ class TestInferencePlans:
         # fused epilogues, buffer reuse) is validated against.
         net = small_network()
         x = batch()
-        conventional = CastShadow(net).run(x)
+        conventional = float32_forward(net, x)
         for fuse in (True, False):
             plan = InferencePlan(net, "float32", fuse_epilogue=fuse)
             assert np.array_equal(plan.run(x), conventional), fuse
@@ -230,7 +241,7 @@ class TestInferencePlans:
         net = build_dac17_network(seed=3)
         x = batch(seed=4, n=5, shape=(32, 12, 12))
         assert np.array_equal(
-            InferencePlan(net, "float32").run(x), CastShadow(net).run(x)
+            InferencePlan(net, "float32").run(x), float32_forward(net, x)
         )
 
     def test_fused_and_unfused_agree_per_precision(self):
@@ -258,6 +269,26 @@ class TestInferencePlans:
             InferencePlan(net, "int4")
         with pytest.raises(Exception):
             net.infer(batch(), precision="bfloat16")
+
+    def test_compute_dtype_follows_precision(self):
+        net = small_network()
+        assert InferencePlan(net).compute_dtype == np.float64
+        assert InferencePlan(net, "float32").compute_dtype == np.float32
+        twin = build_dac17_network(
+            input_channels=3, grid=8, compute_dtype="float32"
+        )
+        assert InferencePlan(twin).compute_dtype == np.float32
+
+    def test_default_plan_holds_parameter_arrays(self):
+        net = small_network()
+        plan = InferencePlan(net)
+        held = {
+            id(np.asarray(a).base if np.asarray(a).base is not None else a)
+            for spec in plan._specs
+            for a in vars(spec).values()
+            if isinstance(a, np.ndarray)
+        }
+        assert {id(p.value) for p in net.parameters()} <= held
 
     def test_plan_reuse_is_deterministic(self):
         net = small_network()
@@ -298,3 +329,82 @@ class TestInferencePlans:
         out = plan.run(batch())
         # Accumulation is float32: logits come back full precision.
         assert out.dtype == np.float32
+
+
+def held_bytes(obj, seen=None):
+    """Bytes of every ndarray reachable from ``obj``'s attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        children = list(obj.keys()) + list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__") or hasattr(obj, "__slots__"):
+        children = list(getattr(obj, "__dict__", {}).values()) + [
+            getattr(obj, name)
+            for name in getattr(type(obj), "__slots__", ())
+            if hasattr(obj, name)
+        ]
+    else:
+        return 0
+    return sum(held_bytes(child, seen) for child in children)
+
+
+class TestPlanMemory:
+    @pytest.mark.parametrize("precision", ("float64", "float32", "float16", "int8"))
+    def test_nothing_batch_sized_outlives_a_call(self, precision):
+        net = build_dac17_network(seed=1)
+        plan = net._plan_for(precision)
+        held = held_bytes(plan)
+        for n in (7, 300):
+            x = batch(seed=n, n=n, shape=(32, 12, 12))
+            net.predict_proba(x, precision=precision)
+            net.infer(x, precision=precision)
+            assert held_bytes(plan) == held, n
+
+    def test_table1_block_for_256_rows_is_at_most_100_mb(self):
+        # Lifetime sharing is what keeps this under the sum of the
+        # buffers (~204 MB): the first conv's columns and padded staging
+        # are live together, everything after reuses their bytes.
+        plan = InferencePlan(build_dac17_network(seed=1))
+        assert plan.new_block(256).nbytes <= 100e6
+
+    def test_live_buffers_never_share_bytes(self):
+        plan = InferencePlan(build_dac17_network(seed=1))
+        layout = plan._layout(37)
+        spans = []
+        for index, (spec, slots) in enumerate(zip(plan._specs, layout.slots)):
+            for slot, buf in zip(slots, spec.buffers(37)):
+                if slot is None:
+                    continue
+                offset, shape, dtype = slot
+                nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+                assert offset % 64 == 0
+                assert offset + nbytes <= layout.nbytes
+                first, last = 4 * index + buf[2], 4 * index + buf[3]
+                spans.append((offset, offset + nbytes, first, last))
+        for i, (lo, hi, first, last) in enumerate(spans):
+            for lo2, hi2, first2, last2 in spans[i + 1 :]:
+                if first <= last2 and first2 <= last:
+                    assert hi <= lo2 or hi2 <= lo
+
+    def test_padding_frame_is_rezeroed_in_a_dirty_block(self):
+        net = build_dac17_network(seed=2)
+        x = batch(seed=3, n=9, shape=(32, 12, 12)).astype(np.float64)
+        plan = net._plan_for(None)
+        dirty = plan.new_block(9)
+        dirty[:] = 0x7F
+        assert np.array_equal(plan.run(x, dirty), net.forward(x))
+
+    def test_one_block_serves_every_chunk(self):
+        net = build_dac17_network(seed=2)
+        x = batch(seed=4, n=70, shape=(32, 12, 12)).astype(np.float64)
+        plan = net._plan_for(None)
+        block = plan.new_block(32, 70 % 32)
+        for start in range(0, 70, 32):
+            chunk = x[start : start + 32]
+            assert np.array_equal(plan.run(chunk, block), net.infer(chunk))

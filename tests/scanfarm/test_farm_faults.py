@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -43,6 +44,11 @@ def _journaled_farm_scan(journal_path, workers):
     make_farm(workers=workers).scan(
         make_chip(), batch_size=5, journal=journal_path
     )
+
+
+def _pooled_farm_scan():
+    """Subprocess target: one pooled farm scan, armed to die mid-run."""
+    make_farm(workers=2).scan(make_chip(), batch_size=5)
 
 
 def _bound_sleeper():
@@ -102,6 +108,34 @@ class TestShardWorkerDeath:
         names = {e.name for e in captured_events.events}
         assert "farm.worker_dead" in names
         assert "farm.degraded" in names
+
+
+class TestSpillDirectories:
+    def test_killed_scan_spill_dir_removed_by_next_pooled_scan(
+        self, tmp_path, monkeypatch
+    ):
+        # SIGKILL skips the scan's own cleanup; the next pooled scan
+        # removes every spill directory whose process is gone.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        root = tmp_path / "repro-farm-spill"
+        worker = CrashingWorker(_pooled_farm_scan, faults="farm.batch:0=kill")
+        worker.run()
+        assert worker.was_killed
+        leaked = {p.name.split("-", 1)[0] for p in root.iterdir()}
+        assert len(leaked) == 1 and str(os.getpid()) not in leaked
+        make_farm(workers=2).scan(make_chip())
+        assert list(root.iterdir()) == []
+
+    def test_live_scans_spill_dirs_are_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        root = tmp_path / "repro-farm-spill"
+        root.mkdir()
+        (root / f"{os.getppid()}-live").mkdir()
+        (root / "not-a-pid").mkdir()
+        make_farm(workers=2).scan(make_chip())
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            [f"{os.getppid()}-live", "not-a-pid"]
+        )
 
 
 class TestFarmScanResume:

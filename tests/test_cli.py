@@ -186,6 +186,28 @@ class TestScanBatch:
                      "--layout", str(tmp_path / "rev2.layout")]) == 0
         assert regions(capsys.readouterr().out) == [batch[1]]
 
+    def test_same_named_layouts_print_one_result_each(self, tmp_path, capsys):
+        from repro.data.fullchip import FullChipSpec, make_layout
+        from repro.geometry.layoutio import write_chip
+
+        data = tmp_path / "clips.txt"
+        model = tmp_path / "model.npz"
+        assert main(["generate", str(data), "--hotspots", "16",
+                     "--non-hotspots", "24", "--seed", "3"]) == 0
+        assert main(["train", str(data), str(model),
+                     "--iterations", "40", "--bias-rounds", "1"]) == 0
+        paths = []
+        for seed in (5, 6):
+            path = tmp_path / f"chip{seed}.layout"
+            layout = make_layout(FullChipSpec(tiles_x=3, tiles_y=3, seed=seed))
+            write_chip(path, layout)  # both carry the default name
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["scan-batch", str(model), *paths]) == 0
+        summaries = [line for line in capsys.readouterr().out.splitlines()
+                     if "windows scanned" in line]
+        assert [line.split(" (")[0] for line in summaries] == paths
+
 
 class TestActive:
     def test_active_model_round_trips_through_evaluate(self, tmp_path, capsys):
