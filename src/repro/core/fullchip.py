@@ -272,20 +272,29 @@ class ScanJournal:
             self._handle = None
 
 
+#: Candidate pairs :func:`merge_windows` tests per step, bounding its
+#: working set (about 2 MB of pair indices) on dense flag sets.
+_MERGE_PAIRS = 1 << 16
+
+
 def merge_windows(
     windows: Sequence[Rect],
     probabilities: Sequence[float],
 ) -> List[HotspotRegion]:
     """Merge touching/overlapping flagged windows into regions.
 
-    Union-find over the window adjacency graph; each cluster reports its
-    bounding box, member count and peak probability, and regions come
-    back sorted by falling peak. Candidate pairs come from a grid-bucket
-    spatial hash (cell pitch = the largest window side), so only windows
-    in neighbouring cells are compared — two windows further than a cell
-    apart cannot touch — and merging stays near-linear in the flagged
-    count instead of an all-pairs quadratic sweep (the tests keep that
-    sweep as the oracle).
+    Regions are the connected components of the window touch graph
+    (:meth:`Rect.touches`); each reports its bounding box, member count
+    and peak probability, and regions come back sorted by falling peak,
+    ties in the order of each region's first window. The sweep is array
+    work: windows sorted by ``x_lo``, each window's candidates are the
+    later ones whose ``x_lo`` is at most its ``x_hi`` (a
+    ``searchsorted``), their y extents are tested at once, and touching
+    pairs hook their components' roots together, with pointer jumping
+    flattening every label to its root between hooks. A root is always
+    its component's lowest window index. Candidate pairs are made
+    ``_MERGE_PAIRS`` at a time, so memory stays bounded on dense flag
+    sets. The tests keep an all-pairs sweep as the oracle.
     """
     if len(windows) != len(probabilities):
         raise TrainingError(
@@ -294,51 +303,63 @@ def merge_windows(
     count = len(windows)
     if count == 0:
         return []
-    parent = list(range(count))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    cell = max(max(w.width, w.height) for w in windows)
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    keys: List[Tuple[int, int]] = []
-    for i, w in enumerate(windows):
-        key = (w.x_lo // cell, w.y_lo // cell)
-        keys.append(key)
-        buckets.setdefault(key, []).append(i)
-    for i, w in enumerate(windows):
-        kx, ky = keys[i]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in buckets.get((kx + dx, ky + dy), ()):
-                    if j > i and w.touches(windows[j]):
-                        union(i, j)
-
-    clusters: Dict[int, List[int]] = {}
-    for i in range(count):
-        clusters.setdefault(find(i), []).append(i)
-    regions = []
-    for members in clusters.values():
-        bbox = windows[members[0]]
-        peak = probabilities[members[0]]
-        for m in members[1:]:
-            bbox = bbox.union_bbox(windows[m])
-            peak = max(peak, probabilities[m])
-        regions.append(
-            HotspotRegion(
-                bbox=bbox, window_count=len(members), max_probability=float(peak)
-            )
+    boxes = np.array([w.as_tuple() for w in windows], dtype=np.int64)
+    peaks = np.asarray(probabilities, dtype=np.float64)
+    order = np.argsort(boxes[:, 0], kind="stable")
+    x_lo, y_lo, x_hi, y_hi = boxes[order].T
+    # Sorted window i's candidates are sorted windows i+1 .. reach[i]-1.
+    reach = np.searchsorted(x_lo, x_hi, side="right")
+    sizes = reach - np.arange(1, count + 1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    labels = np.arange(count)
+    lo = 0
+    while lo < count:
+        hi = int(
+            np.searchsorted(offsets, offsets[lo] + _MERGE_PAIRS, side="right")
         )
-    regions.sort(key=lambda r: -r.max_probability)
-    return regions
+        hi = max(lo + 1, hi - 1)
+        chunk = sizes[lo:hi]
+        first = np.repeat(np.arange(lo, hi), chunk)
+        step = np.arange(len(first)) - np.repeat(
+            offsets[lo:hi] - offsets[lo], chunk
+        )
+        second = first + 1 + step
+        touching = (y_lo[second] <= y_hi[first]) & (
+            y_lo[first] <= y_hi[second]
+        )
+        a = order[first[touching]]
+        b = order[second[touching]]
+        while a.size:
+            a, b = labels[a], labels[b]
+            split = a != b
+            a, b = a[split], b[split]
+            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+        lo = hi
+    _, members = np.unique(labels, return_inverse=True)
+    by_region = np.argsort(members, kind="stable")
+    counts = np.bincount(members)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    grouped = boxes[by_region]
+    bbox = np.hstack(
+        [
+            np.minimum.reduceat(grouped[:, :2], starts),
+            np.maximum.reduceat(grouped[:, 2:], starts),
+        ]
+    ).tolist()
+    peak = np.maximum.reduceat(peaks[by_region], starts)
+    return [
+        HotspotRegion(
+            bbox=Rect(*bbox[r]),
+            window_count=int(counts[r]),
+            max_probability=float(peak[r]),
+        )
+        for r in np.argsort(-peak, kind="stable").tolist()
+    ]
 
 
 def recall_against_oracle(

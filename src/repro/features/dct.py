@@ -115,7 +115,12 @@ def block_dct(images: np.ndarray, block: int, k: int) -> np.ndarray:
     to ``zigzag_flatten(dct2(blocks))[..., :k]`` within one float32 ulp
     (plus 1e-10). Each image goes through the same BLAS calls as it would
     alone, so ``block_dct(images)[i]`` equals ``block_dct(images[i:i+1])[0]``
-    bit for bit.
+    bit for bit. Likewise each block-row band goes through the same BLAS
+    calls at the image's width however many bands a step groups, so a
+    run of rows cut from the images encodes to the matching rows of the
+    whole: ``block_dct(images[:, r0 * block : r1 * block])`` equals
+    ``block_dct(images)[:, r0:r1]`` bit for bit (what lets the sliding
+    extractor re-encode only the block rows an edit touched).
     """
     images = np.asarray(images)
     if images.ndim != 3:

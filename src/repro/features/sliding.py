@@ -21,9 +21,12 @@ one *global* block grid. So the scan pipeline becomes:
 Each layout pixel is rasterised and transformed exactly once, regardless
 of stride. Tiles are keyed by the digest of their clipped geometry, and
 an extractor keeps, from one call to the next, the last tile encoded at
-each position of the layout region's tile lattice: a re-scan after a
-local edit encodes only the tiles whose geometry the edit changed, and
-the memo never holds more than one tile per position. This extractor
+each position of the layout region's tile lattice, with the rects it
+was encoded from; the memo never holds more than one tile per position.
+A block's coefficients depend only on the geometry inside it, so a
+re-scan after a local edit re-rasterises and re-encodes only the block
+rows of a changed tile that a rect added or removed overlaps, and
+copies the tile's other rows from the memo. This extractor
 runs in one process; a scan spreads across processes one level up, in
 the scan farm's row-band shards (:mod:`repro.scanfarm`), each of which
 encodes only its own block-aligned sub-region. The farm keeps one
@@ -37,7 +40,8 @@ equivalence is guaranteed either way and covered by tests.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +57,16 @@ from repro.geometry.raster import rasterize_rects
 from repro.geometry.rect import Rect
 from repro.obs import emit, get_registry, span
 from repro.testing.faults import maybe_fail
+
+
+class _Tile(NamedTuple):
+    """One memoised tile: its digest, the rects it was encoded from (as
+    ``Layout.query`` returned them) and its ``(rows, cols, k)``
+    coefficients."""
+
+    digest: str
+    rects: Tuple[Rect, ...]
+    coefficients: np.ndarray
 
 
 class SlidingFeatureExtractor:
@@ -117,8 +131,8 @@ class SlidingFeatureExtractor:
         self.block_nm = self.block_px * config.pixel_nm
         self._per_clip = FeatureTensorExtractor(config)
         #: Tiles encoded for ``_tiles_region``: lattice position (block
-        #: row, block col) -> (geometry digest, coefficients).
-        self._tiles: Dict[Tuple[int, int], Tuple[str, np.ndarray]] = {}
+        #: row, block col) -> (geometry digest, rects, coefficients).
+        self._tiles: Dict[Tuple[int, int], _Tile] = {}
         self._tiles_region: Optional[Rect] = None
 
     @property
@@ -181,16 +195,29 @@ class SlidingFeatureExtractor:
         calls: the extractor keeps the last coefficients encoded at each
         tile position of the layout region, and a tile whose digest
         matches one of them is copied, not encoded (``scan.tiles_reused``).
-        A re-scan after a local edit therefore encodes only the tiles the
-        edit changed. The memo holds at most one tile per lattice position
-        and is dropped when the layout region changes.
+        The memo holds at most one tile per lattice position and is
+        dropped when the layout region changes.
+
+        A tile whose digest is new but whose position holds an earlier
+        tile is encoded band by band: the block rows that a rect added
+        or removed since that tile overlaps are re-rasterised and
+        re-encoded, each maximal run of them at the tile's full width in
+        one :func:`~repro.features.dct.block_dct` call, and every other
+        row is copied from the earlier tile. A row no changed rect
+        overlaps rasterises to the same pixels, and ``block_dct`` encodes
+        a band of rows bit for bit as it does inside the whole tile, so
+        the result is the whole-tile encoding exactly. A re-scan after a
+        local edit therefore encodes only the block rows the edit
+        touched (``scan.block_rows``; ``scan.tiles`` still counts tiles,
+        whole or partial). A tile with no earlier entry, or with every
+        row touched, is one run: the whole-tile encoding.
         """
         full = layout.region
         full_rows, full_cols, k = self.grid_shape(full)
         if full != self._tiles_region:
             self._tiles.clear()
             self._tiles_region = full
-        held = {digest: coeffs for digest, coeffs in self._tiles.values()}
+        held = {t.digest: t.coefficients for t in self._tiles.values()}
         if region is None:
             region = full
             r0 = c0 = 0
@@ -199,10 +226,12 @@ class SlidingFeatureExtractor:
             r0, c0 = self._check_subregion(full, region)
             rows, cols, _ = self.grid_shape(region)
         grid = np.zeros((rows, cols, k), dtype=np.float32)
-        #: Placements: (grid row, grid col, digest) per non-empty tile.
-        placements: List[Tuple[int, int, str]] = []
-        #: Unique non-empty tiles to encode, by digest: (rects, tile window).
-        tiles: Dict[str, Tuple[Tuple[Rect, ...], Rect]] = {}
+        #: Placements: (grid row, grid col, rects, digest) per non-empty
+        #: tile.
+        placements: List[Tuple[int, int, Tuple[Rect, ...], str]] = []
+        #: Unique non-empty tiles to encode, by digest: (rects, tile
+        #: window, the memo's earlier tile at that position or None).
+        tiles: Dict[str, Tuple[Tuple[Rect, ...], Rect, Optional[_Tile]]] = {}
         #: Unique tiles encoded by an earlier call, by digest.
         coefficients: Dict[str, np.ndarray] = {}
         duplicates = 0
@@ -228,8 +257,12 @@ class SlidingFeatureExtractor:
                 elif digest in held:
                     coefficients[digest] = held[digest]
                 else:
-                    tiles[digest] = (rects, window)
-                placements.append((b_row, b_col, digest))
+                    tiles[digest] = (
+                        rects,
+                        window,
+                        self._tiles.get((b_row, b_col)),
+                    )
+                placements.append((b_row, b_col, rects, digest))
         registry = get_registry()
         if duplicates:
             registry.counter("scan.tiles_deduped").inc(duplicates)
@@ -237,11 +270,15 @@ class SlidingFeatureExtractor:
         if reused:
             registry.counter("scan.tiles_reused").inc(reused)
         with span("scan.grid", tiles=len(tiles)) as record:
-            for index, (digest, (rects, window)) in enumerate(tiles.items()):
-                coefficients[digest] = self._encode_tile(index, rects, window)
-            for b_row, b_col, digest in placements:
+            for index, (digest, (rects, window, earlier)) in enumerate(
+                tiles.items()
+            ):
+                coefficients[digest] = self._encode_tile(
+                    index, rects, window, earlier
+                )
+            for b_row, b_col, rects, digest in placements:
                 coeffs = coefficients[digest]
-                self._tiles[(b_row, b_col)] = (digest, coeffs)
+                self._tiles[(b_row, b_col)] = _Tile(digest, rects, coeffs)
                 t_rows, t_cols = coeffs.shape[:2]
                 # Intersect the tile's block span with the requested
                 # sub-grid (tiles straddle shard edges by design).
@@ -257,27 +294,80 @@ class SlidingFeatureExtractor:
             record.attrs["tiles_reused"] = reused
         return grid
 
+    def _dirty_runs(
+        self, rects: Tuple[Rect, ...], window: Rect, earlier: Optional[_Tile]
+    ) -> List[Tuple[int, int]]:
+        """Maximal runs ``[lo, hi)`` of the tile's block rows to encode.
+
+        Without an earlier tile that is every row. Otherwise it is the
+        rows overlapped by a rect of the multiset difference between the
+        earlier tile's rects and ``rects`` (a multiset, because
+        :func:`~repro.geometry.fingerprint.geometry_digest` hashes
+        duplicate rects). Every rect of a tile overlaps it, so a changed
+        rect dirties at least one row.
+        """
+        t_rows = window.height // self.block_nm
+        if earlier is None:
+            return [(0, t_rows)]
+        before, after = Counter(earlier.rects), Counter(rects)
+        # Row r is dirty[r + 1]; the False ends close every run.
+        dirty = np.zeros(t_rows + 2, dtype=bool)
+        for rect in (before - after) + (after - before):
+            lo = max(0, (rect.y_lo - window.y_lo) // self.block_nm)
+            hi = min(t_rows, -((window.y_lo - rect.y_hi) // self.block_nm))
+            dirty[lo + 1 : hi + 1] = True
+        edges = np.flatnonzero(dirty[1:] != dirty[:-1]).tolist()
+        return list(zip(edges[::2], edges[1::2]))
+
     def _encode_tile(
-        self, index: int, rects: Tuple[Rect, ...], window: Rect
+        self,
+        index: int,
+        rects: Tuple[Rect, ...],
+        window: Rect,
+        earlier: Optional[_Tile],
     ) -> np.ndarray:
         """Rasterise one tile and reduce its blocks to truncated DCT vectors.
 
-        A failing attempt is retried after a bounded, doubling pause; once
-        the retry budget is spent the tile raises
+        Only the runs of :meth:`_dirty_runs` are rasterised and encoded,
+        each as a band of the tile's full width; the other rows come from
+        ``earlier``. A failing attempt is retried after a bounded,
+        doubling pause; once the retry budget is spent the tile raises
         :class:`~repro.exceptions.FeatureError`. A finished tile records
-        its wall-clock in ``scan.raster.seconds`` / ``scan.dct.seconds``
-        and bumps ``scan.tiles``.
+        its wall-clock in ``scan.raster.seconds`` / ``scan.dct.seconds``,
+        bumps ``scan.tiles`` and adds its encoded rows to
+        ``scan.block_rows``.
         """
+        runs = self._dirty_runs(rects, window, earlier)
+        encoded = sum(hi - lo for lo, hi in runs)
+        whole = encoded == window.height // self.block_nm
         attempts = 0
         while True:
             try:
                 maybe_fail("scan.tile", index)
-                started = time.perf_counter()
-                image = rasterize_rects(rects, window, self.config.pixel_nm)
-                rastered = time.perf_counter()
-                coefficients = encode_block_grid(
-                    image, self.block_px, self.config.coefficients
-                )
+                # A partial tile's array is made before any band's scratch
+                # arrays, as block_dct makes a whole tile's: the memo's
+                # long-lived arrays then do not pin freed scratch space.
+                coefficients = None if whole else earlier.coefficients.copy()
+                raster_s = dct_s = 0.0
+                for lo, hi in runs:
+                    band = Rect(
+                        window.x_lo,
+                        window.y_lo + lo * self.block_nm,
+                        window.x_hi,
+                        window.y_lo + hi * self.block_nm,
+                    )
+                    started = time.perf_counter()
+                    image = rasterize_rects(rects, band, self.config.pixel_nm)
+                    rastered = time.perf_counter()
+                    rows = encode_block_grid(
+                        image, self.block_px, self.config.coefficients
+                    )
+                    raster_s += rastered - started
+                    dct_s += time.perf_counter() - rastered
+                    if whole:
+                        coefficients = rows
+                    else:
+                        coefficients[lo:hi] = rows
                 break
             except Exception as exc:
                 attempts += 1
@@ -296,11 +386,10 @@ class SlidingFeatureExtractor:
                     ) from exc
                 time.sleep(min(self.retry_backoff * 2 ** (attempts - 1), 1.0))
         registry = get_registry()
-        registry.histogram("scan.raster.seconds").observe(rastered - started)
-        registry.histogram("scan.dct.seconds").observe(
-            time.perf_counter() - rastered
-        )
+        registry.histogram("scan.raster.seconds").observe(raster_s)
+        registry.histogram("scan.dct.seconds").observe(dct_s)
         registry.counter("scan.tiles").inc()
+        registry.counter("scan.block_rows").inc(encoded)
         return coefficients
 
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ event schema, and prints:
 
 - an event census (counts per event name, wall-clock extent);
 - a per-stage timing table aggregated over ``span`` events, keyed by the
-  span *path* so nesting is visible (``scan/scan.grid``);
+  span *path* so nesting is visible (``scan/scan.grid``), with each
+  path's self time (its total minus its direct child paths' totals) and
+  its share of the root spans' total;
 - the counters/gauges/histograms of the run's last ``metrics.snapshot``
   event — which is where windows-per-second and the worker-aggregated
   raster/DCT timings live for a full-chip scan.
@@ -83,7 +85,13 @@ def load_run_log(path: PathLike) -> List[Event]:
 # Aggregation
 # ----------------------------------------------------------------------
 def summarize_spans(events: Sequence[Event]) -> Dict[str, Dict[str, float]]:
-    """Aggregate ``span`` events by path: count/total/mean/max seconds."""
+    """Aggregate ``span`` events by path: count/total/mean/max seconds.
+
+    Each path also gets ``self_s``, its total minus the totals of its
+    direct child paths (``a/b`` for ``a``), and ``share``, its total as
+    a fraction of the summed totals of the root paths (those without a
+    ``/``): where the wall time of the logged work went.
+    """
     stages: Dict[str, Dict[str, float]] = {}
     for event in events:
         if event.name != "span":
@@ -101,6 +109,16 @@ def summarize_spans(events: Sequence[Event]) -> Dict[str, Dict[str, float]]:
             stage["errors"] += 1
     for stage in stages.values():
         stage["mean_s"] = stage["total_s"] / stage["count"]
+        stage["self_s"] = stage["total_s"]
+    for path, stage in stages.items():
+        parent, _, _ = path.rpartition("/")
+        if parent in stages:
+            stages[parent]["self_s"] -= stage["total_s"]
+    roots = sum(
+        stage["total_s"] for path, stage in stages.items() if "/" not in path
+    )
+    for stage in stages.values():
+        stage["share"] = stage["total_s"] / roots if roots else 0.0
     return stages
 
 
@@ -305,6 +323,8 @@ def format_report(events: Sequence[Event], title: str = "run log") -> str:
                 path,
                 stage["count"],
                 f"{stage['total_s']:.3f}",
+                f"{stage['self_s']:.3f}",
+                f"{stage['share']:.1%}",
                 f"{stage['mean_s']:.4f}",
                 f"{stage['max_s']:.4f}",
                 stage["errors"],
@@ -315,7 +335,16 @@ def format_report(events: Sequence[Event], title: str = "run log") -> str:
         ]
         lines.append(
             _rows_to_table(
-                ("stage", "count", "total_s", "mean_s", "max_s", "errors"),
+                (
+                    "stage",
+                    "count",
+                    "total_s",
+                    "self_s",
+                    "share",
+                    "mean_s",
+                    "max_s",
+                    "errors",
+                ),
                 rows,
             )
         )

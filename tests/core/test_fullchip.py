@@ -1,6 +1,7 @@
 """Tests for full-chip scanning: region merging and the scan engine."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TrainingError
+from repro.core import fullchip
 from repro.core.fullchip import (
     HotspotRegion,
     ScanResult,
@@ -58,6 +60,18 @@ def merge_windows_pairwise(windows, probabilities):
     return regions
 
 
+WINDOW_SETS = st.lists(
+    st.tuples(
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=1, max_value=25),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    max_size=40,
+)
+
+
 class TestMergeWindows:
     def test_disjoint_windows_stay_separate(self):
         windows = [Rect(0, 0, 10, 10), Rect(100, 100, 110, 110)]
@@ -85,23 +99,43 @@ class TestMergeWindows:
         with pytest.raises(TrainingError):
             merge_windows([Rect(0, 0, 1, 1)], [])
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-40, max_value=40),
-                st.integers(min_value=-40, max_value=40),
-                st.integers(min_value=1, max_value=25),
-                st.integers(min_value=1, max_value=25),
-                st.floats(min_value=0.0, max_value=1.0),
-            ),
-            max_size=40,
-        )
-    )
+    @given(WINDOW_SETS)
     @settings(max_examples=200, deadline=None)
     def test_spatial_hash_equals_pairwise(self, raw):
-        """The grid-bucket merge is a pure optimisation of the O(n²) sweep."""
+        """The array sweep is a pure optimisation of the O(n²) sweep."""
         windows = [Rect(x, y, x + w, y + h) for x, y, w, h, _ in raw]
         probabilities = [p for *_, p in raw]
+        assert merge_windows(windows, probabilities) == merge_windows_pairwise(
+            windows, probabilities
+        )
+
+    @given(WINDOW_SETS, st.integers(min_value=1, max_value=30))
+    @settings(max_examples=100, deadline=None)
+    def test_any_pair_step_equals_pairwise(self, raw, step):
+        """Candidate pairs are made a bounded step at a time; components
+        must come out the same wherever the step boundaries fall."""
+        windows = [Rect(x, y, x + w, y + h) for x, y, w, h, _ in raw]
+        probabilities = [p for *_, p in raw]
+        with mock.patch.object(fullchip, "_MERGE_PAIRS", step):
+            merged = merge_windows(windows, probabilities)
+        assert merged == merge_windows_pairwise(windows, probabilities)
+
+    @pytest.mark.parametrize("seed,fraction", [(0, 0.65), (1, 0.2), (2, 0.05)])
+    def test_scan_lattice_equals_pairwise(self, seed, fraction):
+        """A 100 nm-stride scan's window lattice (37 x 37 windows of
+        1200 nm): each window touches up to 24 x 24 neighbours, so the
+        sweep tests many candidate pairs per window across several
+        steps."""
+        rng = np.random.default_rng(seed)
+        lattice = [
+            Rect(x, y, x + 1200, y + 1200)
+            for y in range(0, 3700, 100)
+            for x in range(0, 3700, 100)
+        ]
+        flags = rng.random(len(lattice)) < fraction
+        windows = [w for w, flag in zip(lattice, flags) if flag]
+        # Rounded, so equal peaks exercise the tie order too.
+        probabilities = np.round(rng.random(len(windows)), 2).tolist()
         assert merge_windows(windows, probabilities) == merge_windows_pairwise(
             windows, probabilities
         )

@@ -12,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft as sp_fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DetectorConfig
 from repro.exceptions import ConfigError, FeatureError
@@ -216,6 +218,49 @@ class TestOracleMatrix:
         batched = encode_image_batch(images, block, k)
         for i, image in enumerate(images):
             assert np.array_equal(batched[i], encode_block_grid(image, block, k))
+
+
+@st.composite
+def band_cases(draw):
+    """A stack of images and a run ``[r0, r1)`` of its block rows."""
+    block = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 10, 12, 30]))
+    k = draw(st.integers(1, min(block * block, 40)))
+    rows = draw(st.integers(1, 20))
+    cols = draw(st.integers(1, 8))
+    r0 = draw(st.integers(0, rows - 1))
+    r1 = draw(st.integers(r0 + 1, rows))
+    n = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["binary", "real"]))
+    seed = draw(st.integers(0, 2**16))
+    images = images_of(kind, (n, rows * block, cols * block), seed)
+    return images, block, k, r0, r1
+
+
+class TestBandExactness:
+    """``block_dct`` encodes each block-row band with the same BLAS calls
+    at the image's width, so the block rows of a band cut from an image
+    are bit for bit the matching rows of the whole image's encoding —
+    the guarantee band-granular tile re-encoding rests on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=band_cases())
+    def test_band_equals_rows_of_whole_bitwise(self, case):
+        images, block, k, r0, r1 = case
+        band = block_dct(images[:, r0 * block : r1 * block], block, k)
+        assert np.array_equal(band, block_dct(images, block, k)[:, r0:r1])
+
+    @pytest.mark.parametrize(
+        "block,rows,cols",
+        [(100, 16, 16), (100, 16, 7), (10, 30, 30), (4, 64, 64)],
+    )
+    def test_scan_geometries(self, block, rows, cols):
+        k = min(32, block * block)
+        shape = (1, rows * block, cols * block)
+        images = images_of("binary", shape, seed=rows)
+        whole = block_dct(images, block, k)
+        for r0, r1 in [(0, 1), (3, 8), (rows - 2, rows), (0, rows)]:
+            band = block_dct(images[:, r0 * block : r1 * block], block, k)
+            assert np.array_equal(band, whole[:, r0:r1])
 
 
 class TestWorkingSet:

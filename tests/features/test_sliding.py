@@ -8,6 +8,8 @@ that window in isolation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import FeatureError
 from repro.features.sliding import SlidingFeatureExtractor
@@ -166,3 +168,113 @@ class TestWindowEquivalence:
         sliding = SlidingFeatureExtractor(CONFIG, clip_nm=CLIP_NM)
         with pytest.raises(FeatureError):
             next(sliding.iter_batches(layout, (), 0))
+
+
+#: Band-memo geometry: 4-block (240 nm) tiles over a region that is a
+#: whole number of neither blocks nor tiles, so the last tile column is
+#: one padded block wide and the last tile row is padded too.
+MEMO_REGION = Rect(0, 0, 1000, 700)
+MEMO_TILE_BLOCKS = 4
+TILE_NM = MEMO_TILE_BLOCKS * BLOCK_NM
+EDITS = ("add", "remove", "duplicate", "band_edge", "tile_edge",
+         "empty_tile", "shard")
+
+
+def apply_edit(kind, seed, layout):
+    """One revision: ``(layout to encode next, sub-region or None)``."""
+    rng = np.random.default_rng(seed)
+    region = layout.region
+    rects = list(layout.rects)
+
+    def rebuilt(keep):
+        return Layout(region, rects=keep, bin_nm=CLIP_NM)
+
+    def clamp(x_lo, y_lo, x_hi, y_hi):
+        return Rect(
+            max(x_lo, region.x_lo),
+            max(y_lo, region.y_lo),
+            min(x_hi, region.x_hi),
+            min(y_hi, region.y_hi),
+        )
+
+    x = int(rng.integers(0, region.x_hi - 20))
+    y = int(rng.integers(0, region.y_hi - 20))
+    if kind == "add":
+        w, h = (int(v) for v in rng.integers(5, 150, size=2))
+        return rebuilt(rects + [clamp(x, y, x + w, y + h)]), None
+    if kind == "remove":
+        if not rects:
+            return layout, None
+        drop = int(rng.integers(len(rects)))
+        return rebuilt(rects[:drop] + rects[drop + 1:]), None
+    if kind == "duplicate":
+        if not rects:
+            return layout, None
+        return rebuilt(rects + [rects[int(rng.integers(len(rects)))]]), None
+    if kind == "band_edge":
+        # Both y edges on block-row boundaries: the rect abuts the rows
+        # above and below it without overlapping them.
+        row = int(rng.integers(0, 11))
+        span = int(rng.integers(1, 3))
+        w = int(rng.integers(5, 150))
+        rect = clamp(x, row * BLOCK_NM, x + w, (row + span) * BLOCK_NM)
+        return rebuilt(rects + [rect]), None
+    if kind == "tile_edge":
+        # Ends exactly on a tile boundary (touching the next tile) or
+        # straddles it, in x or y.
+        edge = TILE_NM * int(rng.integers(1, 3))
+        lo = edge - int(rng.integers(5, 60))
+        hi = edge + int(rng.choice([0, 0, 30]))
+        if rng.random() < 0.5:
+            rect = clamp(lo, y, hi, y + int(rng.integers(5, 150)))
+        else:
+            rect = clamp(x, lo, x + int(rng.integers(5, 150)), hi)
+        return rebuilt(rects + [rect]), None
+    if kind == "empty_tile":
+        tile_x = TILE_NM * int(rng.integers(0, 5))
+        tile_y = TILE_NM * int(rng.integers(0, 3))
+        tile = Rect(tile_x, tile_y, tile_x + TILE_NM, tile_y + TILE_NM)
+        return rebuilt([r for r in rects if not r.overlaps(tile)]), None
+    assert kind == "shard"
+    # A block-aligned sub-region, as a scan-farm shard requests (the
+    # region is 17 x 12 blocks).
+    c0, r0 = int(rng.integers(0, 16)), int(rng.integers(0, 11))
+    c1, r1 = int(rng.integers(c0 + 1, 18)), int(rng.integers(r0 + 1, 13))
+    return layout, Rect(
+        c0 * BLOCK_NM,
+        r0 * BLOCK_NM,
+        min(c1 * BLOCK_NM, region.x_hi),
+        min(r1 * BLOCK_NM, region.y_hi),
+    )
+
+
+class TestBandMemo:
+    """An extractor carried across edits, re-encoding only the block rows
+    the edits touched, returns grids bitwise equal to a fresh one's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.sampled_from(EDITS), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 3),
+    )
+    def test_carried_extractor_equals_fresh(self, edits, seed):
+        layout = make_test_layout(
+            width=MEMO_REGION.width, height=MEMO_REGION.height, seed=seed
+        )
+        carried = SlidingFeatureExtractor(
+            CONFIG, clip_nm=CLIP_NM, tile_blocks=MEMO_TILE_BLOCKS
+        )
+        carried.coefficient_grid(layout)
+        for kind, edit_seed in edits:
+            layout, region = apply_edit(kind, edit_seed, layout)
+            fresh = SlidingFeatureExtractor(
+                CONFIG, clip_nm=CLIP_NM, tile_blocks=MEMO_TILE_BLOCKS
+            )
+            assert np.array_equal(
+                carried.coefficient_grid(layout, region=region),
+                fresh.coefficient_grid(layout, region=region),
+            ), kind

@@ -153,6 +153,72 @@ class TestSummaries:
         assert "empty" in format_report([])
 
 
+class TestSelfTimeAndShare:
+    """Self time is a path's total minus its direct child paths' totals;
+    share is its total over the root paths' summed totals."""
+
+    def make_events(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        spans = [
+            ("farm.scan/scan.grid/scan.retry", 0.05),
+            ("farm.scan/scan.grid", 0.25),
+            ("farm.scan/scan.inference", 0.125),
+            ("farm.scan", 0.5),
+            ("farm.scan/scan.grid", 0.25),
+            ("farm.scan/scan.inference", 0.125),
+            ("farm.scan", 0.5),
+            ("cli.load", 1.0),
+            # A child whose parent path was not logged stands alone.
+            ("orphan/leaf", 0.5),
+        ]
+
+        def emitter(bus):
+            for span_path, seconds in spans:
+                bus.emit("span", level="debug",
+                         span=span_path.rsplit("/", 1)[-1], path=span_path,
+                         seconds=seconds, status="ok")
+
+        write_log(path, emitter)
+        return load_run_log(path)
+
+    def test_self_time_subtracts_direct_children_only(self, tmp_path):
+        stages = summarize_spans(self.make_events(tmp_path))
+        assert stages["farm.scan"]["self_s"] == pytest.approx(1.0 - 0.75)
+        assert stages["farm.scan/scan.grid"]["self_s"] == pytest.approx(
+            0.5 - 0.05
+        )
+        assert stages["farm.scan/scan.inference"]["self_s"] == pytest.approx(
+            0.25
+        )
+        assert stages["cli.load"]["self_s"] == pytest.approx(1.0)
+        assert stages["orphan/leaf"]["self_s"] == pytest.approx(0.5)
+
+    def test_share_is_of_the_root_total(self, tmp_path):
+        stages = summarize_spans(self.make_events(tmp_path))
+        # Roots: farm.scan (1.0 s) and cli.load (1.0 s).
+        assert stages["farm.scan"]["share"] == pytest.approx(0.5)
+        assert stages["farm.scan/scan.grid"]["share"] == pytest.approx(0.25)
+        assert stages["cli.load"]["share"] == pytest.approx(0.5)
+        assert sum(
+            stage["share"] for path, stage in stages.items() if "/" not in path
+        ) == pytest.approx(1.0)
+
+    def test_table_shows_both_columns(self, tmp_path):
+        text = format_report(self.make_events(tmp_path))
+        header = next(
+            line for line in text.splitlines() if line.startswith("stage")
+        )
+        assert header.split() == [
+            "stage", "count", "total_s", "self_s", "share", "mean_s",
+            "max_s", "errors",
+        ]
+        grid = next(
+            line.split() for line in text.splitlines()
+            if line.startswith("farm.scan/scan.grid ")
+        )
+        assert grid[1:5] == ["2", "0.500", "0.450", "25.0%"]
+
+
 class TestCliReport:
     def test_obs_report_command(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"

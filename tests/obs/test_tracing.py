@@ -1,5 +1,7 @@
 """Tests for span nesting, exception safety and registry coupling."""
 
+import sys
+
 import pytest
 
 from repro.obs import current_span, span
@@ -106,3 +108,23 @@ class TestRegistryCoupling:
 
 def test_rss_kb_non_negative():
     assert rss_kb() >= 0
+
+
+def _vm_rss_kb():
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+)
+def test_rss_kb_agrees_with_vm_rss():
+    """statm's resident pages are the VmRSS of /proc/self/status; the
+    bracket allows for pages the reads themselves touch."""
+    before = _vm_rss_kb()
+    value = rss_kb()
+    after = _vm_rss_kb()
+    assert min(before, after) - 256 <= value <= max(before, after) + 256

@@ -6,8 +6,9 @@ the next layout leaves untouched. Every piece is keyed by content, so
 the property here is bitwise: after each step of a revision sequence the
 farm's result equals :func:`repro.testing.reference_scan` of the
 revision, which reuses nothing. The count pins check that the reuse
-happens: an interior one-rect edit encodes only the tile whose digest
-changed and hashes only the windows that overlap the rect.
+happens: an interior one-rect edit encodes only the block rows the rect
+overlaps, in the one tile whose digest changed, and hashes only the
+windows that overlap the rect.
 """
 
 import tempfile
@@ -220,14 +221,19 @@ class TestReuseCounts:
         assert farm.scan(layout).window_count == 225
         # Stride cell [1800, 2400)^2, abutting (not overlapping) the
         # windows that start at 2400, inside tile [1600, 3200)^2; the
-        # 2 x 2 windows over it span tiles 0-1 in both axes.
+        # 2 x 2 windows over it span tiles 0-1 in both axes. The rect
+        # spans the tile's 100 nm block rows 19-23, so only those five
+        # rows of the one changed tile are encoded.
         edited = copy_layout(layout)
         edited.add(Rect(1900, 1900, 2400, 2400))
         tiles = fresh_registry.counter("scan.tiles")
+        rows = fresh_registry.counter("scan.block_rows")
         reused = fresh_registry.counter("farm.fingerprints_reused")
-        tiles_before, reused_before = tiles.value, reused.value
+        tiles_before, rows_before = tiles.value, rows.value
+        reused_before = reused.value
         result = farm.scan(edited)
         assert tiles.value - tiles_before == 1
+        assert rows.value - rows_before == 5
         assert reused.value - reused_before == 225 - 4
         assert scan_results_equal(result, reference_scan(detector, edited))
 
