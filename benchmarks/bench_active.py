@@ -18,8 +18,9 @@ The acceptance pins (skipped in ``--tiny`` CI mode):
 - random is demonstrably worse than uncertainty+diversity at that same
   budget.
 
-Everything lands in ``BENCH_active.json`` (envelope + schema checked by
-``scripts/check_bench_regression.py``) so future PRs track the curves.
+Everything lands in ``BENCH_active.json``, whose schema
+:func:`validate_active_report` checks, so later runs can be compared
+against the recorded curves.
 
 Entry points: ``pytest benchmarks/bench_active.py`` or
 ``python benchmarks/bench_active.py [--tiny] [--output PATH]``.
@@ -57,8 +58,8 @@ BUDGET_FRACTION = 0.40
 STRATEGIES = ("random", "uncertainty", "uncertainty_diversity")
 
 #: Required keys; the validator below fails the benchmark loudly if the
-#: written artifact drifts from this shape (mirrored in
-#: scripts/check_bench_regression.py for CI --schema-only runs).
+#: written artifact drifts from this shape (a tier-1 test also runs it
+#: over the tracked BENCH_active.json).
 _RESULT_KEYS = (
     "pool_size",
     "eval_size",

@@ -3,9 +3,9 @@
 Shared by ``benchmarks/bench_active.py`` and the ``repro-hotspot active``
 CLI: run one selection strategy under a fixed simulation-seconds budget,
 flatten the loop result into the JSON-friendly record shape the
-``BENCH_active.json`` artifact (and its schema check in
-``scripts/check_bench_regression.py``) pins, and render the label curves
-as a text table.
+``BENCH_active.json`` artifact (and the schema check in
+``benchmarks/bench_active.py``) pins, and render the label curves as a
+text table.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ class WorkspaceStats:
 
     ``misses`` is the number of real ``np.empty`` allocations ever made;
     a steady-state training loop must not grow it (the no-allocation-
-    after-warmup property the benchmarks assert). ``hits`` counts reuses.
+    after-warmup property ``tests/nn/test_kernels.py::
+    TestNoAllocationAfterWarmup`` asserts). ``hits`` counts reuses.
     """
 
     hits: int

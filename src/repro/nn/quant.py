@@ -511,7 +511,6 @@ class _ConvSpec(_Spec):
         out_shape: Tuple[int, ...],
         compute: np.dtype,
         store: np.dtype,
-        fuse: bool,
     ):
         self.w2d = w2d
         self.bias = bias
@@ -522,7 +521,6 @@ class _ConvSpec(_Spec):
         self.out_shape = out_shape
         self.compute = compute
         self.store = store
-        self.fuse = fuse
         self.relu = False
         self.clip: Optional[float] = None
         self.ingest = False
@@ -564,17 +562,13 @@ class _ConvSpec(_Spec):
             cols,
             self.bias,
             prod,
-            relu=self.relu and self.fuse,
+            relu=self.relu,
             clip=self.clip,
         )
         out = prod.reshape(f, n, oh, ow)
         if stored is not None:
             np.copyto(stored, out, casting="same_kind")
             out = stored
-        if self.relu and not self.fuse:
-            # Unfused reference: a second full pass over the stored
-            # activation (what the fused epilogue saves).
-            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -641,7 +635,6 @@ class _DenseSpec(_Spec):
         compute: np.dtype,
         in_dtype: np.dtype,
         out_dtype: np.dtype,
-        fuse: bool,
     ):
         self.weight = weight
         self.bias = bias
@@ -649,7 +642,6 @@ class _DenseSpec(_Spec):
         self.compute = compute
         self.in_dtype = in_dtype
         self.out_dtype = out_dtype
-        self.fuse = fuse
         self.relu = False
         self.clip: Optional[float] = None
         self.output = 1 if out_dtype == compute else 2
@@ -674,14 +666,12 @@ class _DenseSpec(_Spec):
             self.weight,
             self.bias,
             out,
-            relu=self.relu and self.fuse,
+            relu=self.relu,
             clip=self.clip,
         )
         if stored is not None:
             np.copyto(stored, out, casting="same_kind")
             out = stored
-        if self.relu and not self.fuse:
-            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -836,7 +826,6 @@ class InferencePlan:
         self,
         network,
         precision: str = "float64",
-        fuse_epilogue: bool = True,
         calibration: Optional[CalibrationResult] = None,
     ):
         if precision not in INFER_PRECISIONS:
@@ -845,7 +834,6 @@ class InferencePlan:
                 f"(choices: {INFER_PRECISIONS})"
             )
         self.precision = precision
-        self.fuse_epilogue = bool(fuse_epilogue)
         self.input_shape = tuple(network.input_shape)
         self.output_shape = tuple(network.output_shape)
         dtypes = [p.value.dtype for p in network.parameters()]
@@ -921,7 +909,6 @@ class InferencePlan:
                     out_shape,
                     compute,
                     store,
-                    self.fuse_epilogue,
                 )
                 spec.clip = self._clip_for(ranges, key)
                 spec.relu = layer.activation == "relu"
@@ -950,7 +937,6 @@ class InferencePlan:
                         compute,
                         in_dtype=current,
                         out_dtype=compute if last else store,
-                        fuse=self.fuse_epilogue,
                     )
                     spec.clip = self._clip_for(ranges, key)
                     fold = spec

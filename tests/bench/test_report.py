@@ -1,5 +1,8 @@
 """Tests for the JSON experiment reports."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,3 +72,17 @@ class TestWriteRead:
         bad.write_text("{}")
         with pytest.raises(ReproError):
             read_report(bad)
+
+
+class TestTrackedArtifact:
+    def test_bench_active_json_passes_its_validator(self):
+        # The tracked label-budget record must still parse under the
+        # schema the benchmark that writes it checks.
+        root = Path(__file__).resolve().parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "bench_active", root / "benchmarks" / "bench_active.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        document = bench.validate_active_report(root / "BENCH_active.json")
+        assert document["results"]["strategies"]
