@@ -15,7 +15,8 @@ pieces:
 - **Activation-range calibration**: :class:`MaxObserver` /
   :class:`PercentileObserver` record per-layer activation ranges from a
   representative batch (:func:`calibrate_network`). The float16 plans
-  use the ranges to decide where an overflow clip is actually needed
+  use the ranges :func:`attach_quant_state` binds to the network to
+  decide where an overflow clip is actually needed
   (activations are stored in half precision; anything calibrated above
   :data:`FP16_SAFE_MAX` gets capped in the epilogue, anything below
   skips the extra pass).
@@ -822,12 +823,7 @@ class InferencePlan:
     are reentrant.
     """
 
-    def __init__(
-        self,
-        network,
-        precision: str = "float64",
-        calibration: Optional[CalibrationResult] = None,
-    ):
+    def __init__(self, network, precision: str = "float64"):
         if precision not in INFER_PRECISIONS:
             raise QuantizationError(
                 f"unknown plan precision {precision!r} "
@@ -847,8 +843,7 @@ class InferencePlan:
             np.dtype(np.float16) if precision == "float16" else self.compute_dtype
         )
         self._tile = _BATCH_TILE if precision in ("float16", "int8") else None
-        if calibration is None:
-            calibration = getattr(network, "_attached_calibration", None)
+        calibration = getattr(network, "_attached_calibration", None)
         ranges = calibration.ranges if calibration is not None else None
         self._metrics = [
             f"nn.forward.{index:02d}_{layer.name}.seconds"
@@ -862,7 +857,7 @@ class InferencePlan:
     def _clip_for(self, ranges: Optional[Dict[str, float]], key: str):
         """Float16 overflow guard: clip only where calibration says the
         activation can overflow half precision (or always, when no
-        calibration is available to prove it safe)."""
+        calibration is attached to the network to prove it safe)."""
         if self.store_dtype != np.float16:
             return None
         if ranges is None:

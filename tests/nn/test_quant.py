@@ -23,6 +23,7 @@ from repro.core.model import build_dac17_network
 from repro.exceptions import QuantizationError
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.nn.quant import (
+    FP16_SAFE_MAX,
     CalibrationResult,
     InferencePlan,
     MaxObserver,
@@ -316,6 +317,21 @@ class TestInferencePlans:
         out = plan.run(batch())
         # Accumulation is float32: logits come back full precision.
         assert out.dtype == np.float32
+
+    def test_attached_calibration_lifts_the_float16_clip(self):
+        # Uncalibrated, every float16 GEMM clips to the half range; the
+        # ranges attached with an int8 payload prove these layers safe.
+        net = small_network()
+
+        def clips():
+            plan = InferencePlan(net, "float16")
+            return [s.clip for s in plan._specs if hasattr(s, "clip")]
+
+        assert len(clips()) == 3
+        assert all(clip == FP16_SAFE_MAX for clip in clips())
+        calibration = calibrate_network(net, batch())
+        attach_quant_state(net, quantize_network(net, calibration))
+        assert clips() == [None, None, None]
 
 
 def held_bytes(obj, seen=None):
