@@ -94,9 +94,7 @@ def main(workdir: Path) -> None:
     loaded = registry.activate("v1")
     check(loaded.profile is not None, "v1 activated with drift profile")
 
-    engine = InferenceEngine(
-        registry, EngineConfig(max_batch=16, max_wait_ms=20.0, workers=2)
-    )
+    engine = InferenceEngine(registry, EngineConfig(max_batch=16))
     server = make_server(engine, registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

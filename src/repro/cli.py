@@ -270,12 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial version to serve (default: newest valid)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="sample cap per dynamic micro-batch")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="batching window after the first queued request")
     serve.add_argument("--max-queue", type=int, default=256,
                        help="pending-request cap before 503 backpressure")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="inference worker threads")
     serve.add_argument("--slo-latency-ms", type=float, default=250.0,
                        metavar="MS",
                        help="predict-latency SLO threshold (99%% of "
@@ -690,12 +686,7 @@ def _cmd_serve(args) -> int:
     )
     engine = InferenceEngine(
         registry,
-        EngineConfig(
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-            workers=args.workers,
-        ),
+        EngineConfig(max_batch=args.max_batch, max_queue=args.max_queue),
         slo=slo,
     )
     server = make_server(engine, registry, host=args.host, port=args.port)

@@ -20,7 +20,7 @@ Trace identity propagates three ways:
 - **Across threads and processes** — :func:`current_trace` captures the
   innermost identity as a :class:`TraceContext`; :func:`use_trace`
   re-installs it on the other side. The serving engine captures at
-  ``submit()`` and restores in its worker threads; the scan farm ships
+  ``submit()`` and restores in its worker thread; the scan farm ships
   the context to shard worker processes in the task payload.
 - **Across HTTP** — :func:`format_traceparent` / :func:`parse_traceparent`
   speak the W3C ``traceparent`` header
@@ -181,7 +181,7 @@ _stack_var: "contextvars.ContextVar[Tuple[SpanRecord, ...]]" = (
 
 #: Ambient trace parent installed by :func:`use_trace` — what a root span
 #: attaches to when no span is open in this context (inbound HTTP
-#: requests, engine worker threads, farm shard processes).
+#: requests, the engine's worker thread, farm shard processes).
 _ambient_var: "contextvars.ContextVar[Optional[TraceContext]]" = (
     contextvars.ContextVar("repro_trace_ambient", default=None)
 )

@@ -8,10 +8,10 @@ package turns a trained :class:`~repro.core.detector.HotspotDetector`
 into that long-running scoring service:
 
 - :mod:`repro.serve.engine` — :class:`InferenceEngine`: a thread-safe
-  request queue with **dynamic micro-batching** (requests arriving within
-  ``max_wait_ms`` of each other are scored as one
-  ``predict_proba_tensors`` call and fanned back out via futures),
-  bounded-queue backpressure, and graceful drain.
+  request queue with **dynamic micro-batching** (one worker thread scores
+  every request queued while it was busy, up to ``max_batch`` samples, as
+  one ``predict_proba_tensors`` call and fans the rows back out via
+  futures), bounded-queue backpressure, and graceful drain.
 - :mod:`repro.serve.registry` — :class:`ModelRegistry`: versioned serving
   checkpoints (the PR-3 verified-checkpoint format) with atomic hot swap
   and rollback; in-flight batches always finish on the model they

@@ -1,14 +1,15 @@
 """Concurrent inference engine with dynamic micro-batching.
 
-Requests (feature-tensor batches) enter a bounded, thread-safe queue;
-worker threads collect them into micro-batches — up to
-``max_batch`` samples or ``max_wait_ms`` after the first queued request,
-whichever comes first — run **one**
-:meth:`~repro.core.detector.HotspotDetector.predict_proba_tensors` call,
-and fan the probability rows back out to per-request futures. Batching
-amortises the network's GEMM setup over concurrent callers: one fat BLAS
-call beats eight thin ones, which is the entire economics of serving the
-paper's CNN online.
+Requests (feature-tensor batches) enter a bounded, thread-safe queue.
+One worker thread takes the first queued request plus every whole
+request already queued behind it, up to ``max_batch`` samples, runs
+**one** :meth:`~repro.core.detector.HotspotDetector.predict_proba_tensors`
+call, and fans the probability rows back out to per-request futures. It
+never waits for more requests: a batch is whatever queued while the
+previous one scored, so batches grow with load and an idle engine scores
+a lone request at once. Batching amortises the network's GEMM setup over
+concurrent callers: one fat BLAS call beats eight thin ones, which is the
+entire economics of serving the paper's CNN online.
 
 Contracts:
 
@@ -21,11 +22,8 @@ Contracts:
   an ``activate()`` never tears a batch: in-flight batches finish on the
   model they started with, the next batch picks up the new version, and
   each request's future names the version that scored it.
-- **Graceful drain** — :meth:`close` stops intake, lets workers flush
-  every queued request (no drops, no duplicates), then joins them.
-  Inference itself is safe to run from many workers at once because
-  :meth:`Sequential.infer <repro.nn.network.Sequential.infer>` writes no
-  shared state.
+- **Graceful drain** — :meth:`close` stops intake, lets the worker
+  flush every queued request (no drops, no duplicates), then joins it.
 
 Telemetry (``repro.obs``): ``serve.queue.depth`` gauge,
 ``serve.batch.size`` / ``serve.batch.seconds`` / ``serve.queue_wait.seconds``
@@ -77,38 +75,26 @@ from repro.serve.registry import LoadedModel, ModelRegistry
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Micro-batching knobs.
+    """Micro-batching limits.
 
     Attributes
     ----------
     max_batch:
         Sample cap per micro-batch. Requests are never split: a batch
-        closes when admitting the next whole request would exceed the
-        cap (a single oversized request still runs, alone).
-    max_wait_ms:
-        How long a non-full batch waits for company after its first
-        request arrives. ``0`` degenerates to batch-per-request.
+        closes before the next queued request that would exceed the cap
+        (a single oversized request still runs, alone).
     max_queue:
         Pending-request cap; beyond it ``submit`` rejects (backpressure).
-    workers:
-        Inference worker threads. More than one only helps when batches
-        are small relative to traffic — workers share the queue.
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 5.0
     max_queue: int = 256
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServeError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ServeError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.workers < 1:
-            raise ServeError(f"workers must be >= 1, got {self.workers}")
 
 
 class _Request:
@@ -133,7 +119,7 @@ class _Request:
 
 
 class InferenceEngine:
-    """Thread-pooled, dynamically batched scoring over one model source.
+    """Dynamically batched scoring on one worker thread over one model source.
 
     ``model`` is either a trained :class:`HotspotDetector` (fixed) or a
     :class:`ModelRegistry` (hot-swappable ``current``).
@@ -173,14 +159,10 @@ class InferenceEngine:
         self._queue: Deque[_Request] = deque()
         self._cond = threading.Condition()
         self._closed = False
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
-            )
-            for i in range(config.workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._worker = threading.Thread(
+            target=self._worker_loop, name="serve-worker", daemon=True
+        )
+        self._worker.start()
 
     # ------------------------------------------------------------------
     # Model resolution
@@ -280,8 +262,13 @@ class InferenceEngine:
     # Worker loop
     # ------------------------------------------------------------------
     def _collect(self) -> Optional[List[_Request]]:
-        """Block for the next micro-batch; ``None`` means shut down."""
-        cfg = self.config
+        """Block for the next micro-batch; ``None`` means shut down.
+
+        The batch is the first queued request plus every whole request
+        queued behind it that keeps the total within ``max_batch``
+        samples. It takes only what is already queued.
+        """
+        max_batch = self.config.max_batch
         with self._cond:
             while not self._queue and not self._closed:
                 self._cond.wait()
@@ -289,21 +276,10 @@ class InferenceEngine:
                 return None  # closed and fully drained
             batch = [self._queue.popleft()]
             samples = batch[0].count
-            deadline = time.monotonic() + cfg.max_wait_ms / 1000.0
-            while samples < cfg.max_batch:
-                if self._queue:
-                    if samples + self._queue[0].count > cfg.max_batch:
-                        break
-                    request = self._queue.popleft()
-                    batch.append(request)
-                    samples += request.count
-                    continue
-                if self._closed:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
+            while self._queue and samples + self._queue[0].count <= max_batch:
+                request = self._queue.popleft()
+                batch.append(request)
+                samples += request.count
             get_registry().gauge("serve.queue.depth").set(len(self._queue))
         return batch
 
@@ -463,9 +439,9 @@ class InferenceEngine:
         }
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop intake and shut the workers down.
+        """Stop intake and shut the worker down.
 
-        ``drain=True`` (default) lets workers finish every queued
+        ``drain=True`` (default) lets the worker finish every queued
         request before exiting — no response is dropped or duplicated.
         ``drain=False`` fails queued requests with
         :class:`EngineClosedError` immediately (in-flight batches still
@@ -484,8 +460,7 @@ class InferenceEngine:
                 request.future.set_exception(
                     EngineClosedError("engine closed before this request ran")
                 )
-        for worker in self._workers:
-            worker.join(timeout)
+        self._worker.join(timeout)
         emit("serve.engine.closed", drained=drain)
 
     def __enter__(self) -> "InferenceEngine":

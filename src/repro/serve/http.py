@@ -144,6 +144,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        # rfile.read(-1) would read the keep-alive socket until EOF.
+        if length < 0:
+            raise ServeError(f"negative Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise ServeError(f"request body {length} bytes exceeds {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""

@@ -20,9 +20,7 @@ class TestConfig:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_wait_ms": -1.0},
             {"max_queue": 0},
-            {"workers": 0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -62,51 +60,84 @@ class TestScoring:
             assert engine.model_version == "static"
 
 
+class GatedDetector:
+    """Blocks the first batch until released, so queues can be staged.
+
+    Gates a scratch copy of ``trained``, or ``trained`` itself with
+    ``copy=False`` (a registry's freshly loaded detector). ``batches``
+    records the sample count of every batch scored, in order.
+    """
+
+    def __init__(self, trained, copy=True):
+        self.detector = scratch_detector(trained) if copy else trained
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batches = []
+        original = self.detector.predict_proba_tensors
+
+        def gated(tensors):
+            self.batches.append(tensors.shape[0])
+            self.entered.set()
+            if not self.release.wait(10):  # pragma: no cover - deadlock guard
+                raise RuntimeError("gate never released")
+            return original(tensors)
+
+        self.detector.predict_proba_tensors = gated
+
+
 class TestBatching:
+    def test_starts_one_worker_thread(self, trained_detector):
+        before = set(threading.enumerate())
+        engine = InferenceEngine(trained_detector)
+        started = set(threading.enumerate()) - before
+        engine.close()
+        assert [thread.name for thread in started] == ["serve-worker"]
+
     def test_concurrent_requests_share_batches(
         self, trained_detector, feature_batch, fresh_telemetry
     ):
         offline = trained_detector.predict_proba_tensors(feature_batch)
         n = feature_batch.shape[0]
-        engine = InferenceEngine(
-            trained_detector,
-            EngineConfig(max_batch=16, max_wait_ms=50.0, workers=1),
-        )
-        barrier = threading.Barrier(8)
-        results = [None] * 24
-        errors = []
-
-        def client(slot):
-            try:
-                barrier.wait()
-                for i in range(slot % 8, 24, 8):
-                    results[i] = engine.predict(feature_batch[i % n])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        gate = GatedDetector(trained_detector)
+        engine = InferenceEngine(gate.detector, EngineConfig(max_batch=16))
+        held = engine.submit(feature_batch[:1])
+        assert gate.entered.wait(10)
+        queued = [engine.submit(feature_batch[i % n]) for i in range(6)]
+        gate.release.set()
+        results = [future.result(10) for future in queued]
+        held.result(10)
         engine.close()
-        assert not errors
-        # Micro-batch composition differs from the one-shot offline batch,
+        # The six requests queued while the worker was held run as one
+        # batch. Its composition differs from the one-shot offline batch,
         # which perturbs BLAS summation order; the serving contract is
         # agreement within 1e-12, not bitwise identity.
+        assert gate.batches == [1, 6]
         for i, rows in enumerate(results):
             np.testing.assert_allclose(
                 rows, offline[i % n : i % n + 1], rtol=0, atol=1e-12
             )
         stats = engine.stats()
-        assert stats["requests"] == 24
-        assert stats["samples"] == 24
-        assert stats["mean_batch_size"] > 1.0
+        assert stats["requests"] == 7
+        assert stats["batches"] == 2
+
+    def test_request_that_would_overflow_starts_next_batch(
+        self, trained_detector, feature_batch
+    ):
+        gate = GatedDetector(trained_detector)
+        engine = InferenceEngine(gate.detector, EngineConfig(max_batch=4))
+        held = engine.submit(feature_batch[:1])
+        assert gate.entered.wait(10)
+        # 2 + 1 fit under the cap; the next 2 would make 5.
+        sizes = [2, 1, 2]
+        queued = [engine.submit(feature_batch[:size]) for size in sizes]
+        gate.release.set()
+        rows = [future.result(10) for future in [held] + queued]
+        engine.close()
+        assert [r.shape[0] for r in rows] == [1] + sizes
+        assert gate.batches == [1, 3, 2]
 
     def test_requests_never_split(self, trained_detector, feature_batch, fresh_telemetry):
-        engine = InferenceEngine(
-            trained_detector, EngineConfig(max_batch=4, max_wait_ms=20.0)
-        )
+        engine = InferenceEngine(trained_detector, EngineConfig(max_batch=4))
         futures = [engine.submit(feature_batch[:3]) for _ in range(4)]
         rows = [f.result(10) for f in futures]
         engine.close()
@@ -119,35 +150,11 @@ class TestBatching:
     def test_oversized_request_runs_alone(
         self, trained_detector, feature_batch, fresh_telemetry
     ):
-        engine = InferenceEngine(
-            trained_detector, EngineConfig(max_batch=4, max_wait_ms=0.0)
-        )
+        engine = InferenceEngine(trained_detector, EngineConfig(max_batch=4))
         probs = engine.predict(feature_batch[:6])
         engine.close()
         assert probs.shape == (6, 2)
         assert engine.stats()["batches"] == 1
-
-
-class GatedDetector:
-    """Blocks the first batch until released, so queues can be staged.
-
-    Gates a scratch copy of ``trained``, or ``trained`` itself with
-    ``copy=False`` (a registry's freshly loaded detector).
-    """
-
-    def __init__(self, trained, copy=True):
-        self.detector = scratch_detector(trained) if copy else trained
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        original = self.detector.predict_proba_tensors
-
-        def gated(tensors):
-            self.entered.set()
-            if not self.release.wait(10):  # pragma: no cover - deadlock guard
-                raise RuntimeError("gate never released")
-            return original(tensors)
-
-        self.detector.predict_proba_tensors = gated
 
 
 class TestBackpressure:
@@ -155,7 +162,7 @@ class TestBackpressure:
         gate = GatedDetector(trained_detector)
         engine = InferenceEngine(
             gate.detector,
-            EngineConfig(max_batch=1, max_wait_ms=0.0, max_queue=2, workers=1),
+            EngineConfig(max_batch=1, max_queue=2),
         )
         one = feature_batch[:1]
         first = engine.submit(one)
@@ -179,7 +186,7 @@ class TestHotSwap:
         registry.publish(second_detector, "v2")
         gate = GatedDetector(registry.activate("v1").detector, copy=False)
         engine = InferenceEngine(
-            registry, EngineConfig(max_batch=1, max_wait_ms=0.0, workers=1)
+            registry, EngineConfig(max_batch=1)
         )
         scored_by_v1 = engine.submit(feature_batch[:1])
         assert gate.entered.wait(10)
@@ -202,7 +209,7 @@ class TestLifecycle:
         gate = GatedDetector(trained_detector)
         engine = InferenceEngine(
             gate.detector,
-            EngineConfig(max_batch=1, max_wait_ms=0.0, workers=1),
+            EngineConfig(max_batch=1),
         )
         futures = [engine.submit(feature_batch[:1]) for _ in range(6)]
         assert gate.entered.wait(10)
@@ -217,7 +224,7 @@ class TestLifecycle:
         gate = GatedDetector(trained_detector)
         engine = InferenceEngine(
             gate.detector,
-            EngineConfig(max_batch=1, max_wait_ms=0.0, workers=1),
+            EngineConfig(max_batch=1),
         )
         in_flight = engine.submit(feature_batch[:1])
         assert gate.entered.wait(10)
@@ -252,9 +259,7 @@ class TestFailureIsolation:
             return original(tensors)
 
         detector.predict_proba_tensors = flaky
-        engine = InferenceEngine(
-            detector, EngineConfig(max_batch=8, max_wait_ms=30.0)
-        )
+        engine = InferenceEngine(detector, EngineConfig(max_batch=8))
         doomed = [engine.submit(feature_batch[:1]) for _ in range(3)]
         for future in doomed:
             with pytest.raises(RuntimeError, match="transient"):

@@ -8,6 +8,7 @@ drive and benchmark do.
 import contextlib
 import socket
 import threading
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ class TestErrorMapping:
                 urllib.request.urlopen(request, timeout=10)
             assert exc.value.code == 400
 
+    def test_negative_content_length_400(self, registry):
+        with serving(registry, registry) as (client, _):
+            address = urlsplit(client.base_url)
+            with socket.create_connection(
+                (address.hostname, address.port), timeout=5
+            ) as conn:
+                # Keep-alive: the server must answer without waiting for
+                # the client to close its half of the connection.
+                conn.sendall(
+                    b"POST /v1/predict HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Length: -1\r\n"
+                    b"\r\n"
+                )
+                with conn.makefile("rb") as reply:
+                    status_line = reply.readline()
+        assert status_line.split()[1] == b"400"
+
     def test_unknown_model_name_404(self, registry):
         with serving(registry, registry) as (client, _):
             with pytest.raises(ServeClientError) as exc:
@@ -187,9 +206,7 @@ class TestAcceptanceConcurrency:
         errors = []
         barrier = threading.Barrier(threads_n)
 
-        with serving(
-            registry, registry, max_batch=32, max_wait_ms=20.0, workers=2
-        ) as (client, engine):
+        with serving(registry, registry, max_batch=32) as (client, engine):
 
             def worker(slot):
                 local = ServeClient(client.base_url)
@@ -244,9 +261,7 @@ class TestAcceptanceHotSwap:
         errors = []
         done = threading.Event()
 
-        with serving(
-            registry, registry, max_batch=16, max_wait_ms=5.0, workers=2
-        ) as (client, _):
+        with serving(registry, registry, max_batch=16) as (client, _):
 
             def pound(slot):
                 local = ServeClient(client.base_url)
