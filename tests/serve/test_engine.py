@@ -20,6 +20,7 @@ class TestConfig:
         "kwargs",
         [
             {"max_batch": 0},
+            {"max_batch": -1},
             {"max_queue": 0},
         ],
     )
